@@ -60,10 +60,12 @@ class AddressSpace:
         #: index into VMM._area_registry, -1 = no swap copy
         self.swap_area = np.full(npages, -1, dtype=np.int16)
         self.swap_slot = np.full(npages, -1, dtype=np.int64)
-        #: page -> completion event for write-back in flight
-        self.writeback: dict[int, Event] = {}
-        #: page -> completion event for swap-in read in flight
-        self.swapin_pending: dict[int, Event] = {}
+        #: page -> write-back in flight.  The value is the completion
+        #: event once something waits on it (``VMM._completion``), else
+        #: None: a completion nobody waits on is never scheduled.
+        self.writeback: dict[int, Event | None] = {}
+        #: page -> swap-in read in flight, valued as ``writeback``
+        self.swapin_pending: dict[int, Event | None] = {}
         self.dead = False
         # accounting
         self.major_faults = 0
@@ -138,11 +140,8 @@ class VMM:
 
     def destroy_address_space(self, aspace: AddressSpace):
         """Free everything; generator — waits for in-flight I/O first."""
-        while aspace.writeback or aspace.swapin_pending:
-            pending = list(aspace.writeback.values()) + list(
-                aspace.swapin_pending.values()
-            )
-            yield pending[0]
+        while (evt := self._next_completion([aspace])) is not None:
+            yield evt
         aspace.dead = True
         resident = int(aspace.resident.sum())
         if resident:
@@ -228,15 +227,13 @@ class VMM:
         yield from self.cpus.run(self.params.fault_overhead)
         if aspace.resident[page]:  # raced with read-ahead / other faulter
             return
-        pending = aspace.swapin_pending.get(page)
-        if pending is not None:
-            yield pending
+        if page in aspace.swapin_pending:
+            yield self._completion(aspace.swapin_pending, page, "swapin")
             self._record_stall(aspace, t0, page, "fault.wait")
             return
-        wb = aspace.writeback.get(page)
-        if wb is not None:
+        if page in aspace.writeback:
             # Page is being cleaned; wait, then fall through to swap-in.
-            yield wb
+            yield self._completion(aspace.writeback, page, "wb")
         if aspace.resident[page]:
             self._record_stall(aspace, t0, page, "fault.wait")
             return
@@ -268,6 +265,31 @@ class VMM:
                 t0, self.sim.now, page=page,
             )
 
+    def _completion(
+        self, in_flight: dict[int, Event | None], page: int, name: str
+    ) -> Event:
+        """The event that fires when ``page``'s I/O in ``in_flight``
+        (an address space's ``writeback`` or ``swapin_pending``)
+        completes, created on the first wait."""
+        evt = in_flight[page]
+        if evt is None:
+            evt = in_flight[page] = self.sim.event(name)
+        return evt
+
+    def _next_completion(self, spaces: list[AddressSpace]) -> Event | None:
+        """The completion event of the first page with I/O in flight in
+        ``spaces`` (write-back before swap-in, oldest first), or None."""
+        for aspace in spaces:
+            if aspace.writeback:
+                return self._completion(
+                    aspace.writeback, next(iter(aspace.writeback)), "wb"
+                )
+            if aspace.swapin_pending:
+                return self._completion(
+                    aspace.swapin_pending, next(iter(aspace.swapin_pending)), "swapin"
+                )
+        return None
+
     def _stamp_one(self, aspace: AddressSpace, page: int) -> None:
         arr = np.array([page], dtype=np.int64)
         stamps = self.lru.next_stamps(1)
@@ -288,10 +310,9 @@ class VMM:
         if aspace.resident[page]:
             self.frames.release(1)
             return
-        pending = aspace.swapin_pending.get(page)
-        if pending is not None:
+        if page in aspace.swapin_pending:
             self.frames.release(1)
-            yield pending
+            yield self._completion(aspace.swapin_pending, page, "swapin")
             return
         # Gather read-ahead candidates from the aligned slot window.
         window = area.window(slot, self.params.readahead_pages)
@@ -314,19 +335,17 @@ class VMM:
                 continue
             group.append((s, owner, opage))
         group.sort(key=lambda t: t[0])
-        # Mark all as in flight before any yield.
-        events: dict[int, Event] = {}
-        for s, owner, opage in group:
-            evt = Event(self.sim, name=f"swapin:{owner.name}:{opage}")
-            owner.swapin_pending[opage] = evt
-            events[s] = evt
+        # Mark all as in flight before any yield; only the faulting
+        # page has a waiter yet.
+        for _s, owner, opage in group:
+            owner.swapin_pending[opage] = None
+        target_evt = self._completion(aspace.swapin_pending, page, "swapin")
         # Submit one bio per contiguous slot run; merging makes requests.
-        target_evt = events[slot]
         self._c_swapin.add(len(group))
         for run in _contiguous_runs(group):
             first_slot = run[0][0]
             nslots = len(run)
-            bio_done = Event(self.sim, name=f"swapin_bio:{first_slot}")
+            bio_done = self.sim.event("swapin_bio")
             bio = Bio(
                 op=READ,
                 sector=area.slot_to_sector(first_slot),
@@ -341,7 +360,8 @@ class VMM:
                     owner.dirty[opage] = False
                     pend = owner.swapin_pending.pop(opage)
                     self._stamp_one(owner, opage)
-                    pend.succeed(None)
+                    if pend is not None:
+                        pend.succeed(None)
 
             bio_done.callbacks.append(on_read_done)
             area.queue.submit_bio(bio)
@@ -453,9 +473,8 @@ class VMM:
             order = np.argsort(slots)
             for page, slot in zip(chunk[order], slots[order]):
                 page = int(page)
-                evt = Event(self.sim, name=f"wb:{aspace.name}:{page}")
-                aspace.writeback[page] = evt
-                bio_done = Event(self.sim, name=f"wb_bio:{page}")
+                aspace.writeback[page] = None
+                bio_done = self.sim.event("wb_bio")
                 bio = Bio(
                     op=WRITE,
                     sector=area.slot_to_sector(int(slot)),
@@ -463,11 +482,12 @@ class VMM:
                     done=bio_done,
                 )
 
-                def on_write_done(_e: Event, aspace=aspace, page=page, evt=evt) -> None:
+                def on_write_done(_e: Event, aspace=aspace, page=page) -> None:
                     self.wb_inflight -= 1
-                    del aspace.writeback[page]
+                    evt = aspace.writeback.pop(page)
                     self.frames.release(1)
-                    evt.succeed(None)
+                    if evt is not None:
+                        evt.succeed(None)
                     self.wb_waiters.wake_all()
 
                 bio_done.callbacks.append(on_write_done)
@@ -485,14 +505,8 @@ class VMM:
 
     def quiesce(self):
         """Wait for all in-flight swap I/O to settle; generator."""
-        while True:
-            events = []
-            for aspace in self._spaces:
-                events.extend(aspace.writeback.values())
-                events.extend(aspace.swapin_pending.values())
-            if not events:
-                return
-            yield events[0]
+        while (evt := self._next_completion(self._spaces)) is not None:
+            yield evt
 
     def check_frame_accounting(self) -> None:
         """Assert the frame ledger balances (only valid when quiesced)."""

@@ -98,26 +98,23 @@ class Fabric:
     ) -> Event:
         """Move ``nbytes`` from ``src`` to ``dst``.
 
-        Returns an event that succeeds (with ``nbytes``) when the last
-        byte has *arrived* at ``dst``.  The source tx unit and the
-        destination rx unit are both held for the serialization time
-        ``nbytes * byte_time``; delivery completes ``latency`` later
-        (cut-through, no store-and-forward double count).  ``req_id``
-        tags the wire/wait spans with the block-request identity so the
-        critical-path analysis can attribute them.
+        Returns the transfer's process, an event that succeeds (with
+        ``nbytes``) when the last byte has *arrived* at ``dst``.  The
+        source tx unit and the destination rx unit are both held for the
+        serialization time ``nbytes * byte_time``; delivery completes
+        ``latency`` later (cut-through, no store-and-forward double
+        count).  ``req_id`` tags the wire/wait spans with the
+        block-request identity so the critical-path analysis can
+        attribute them.
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
         if src is dst:
             raise ValueError(f"self-transfer on port {src.name}")
-        done = Event(self.sim, name=f"xfer:{src.name}->{dst.name}")
-        self.sim.spawn(
-            self._transfer_proc(
-                src, dst, nbytes, byte_time, latency, tag, req_id, done
-            ),
+        return self.sim.spawn(
+            self._transfer_proc(src, dst, nbytes, byte_time, latency, tag, req_id),
             name=f"xfer:{src.name}->{dst.name}",
         )
-        return done
 
     def _transfer_proc(
         self,
@@ -128,7 +125,6 @@ class Fabric:
         latency: float,
         tag: str,
         req_id: int | None,
-        done: Event,
     ):
         t_start = self.sim.now
         # A downed endpoint parks the transfer until it comes back; the
@@ -173,4 +169,4 @@ class Fabric:
                 "ctrl" if tag == "ib_send" else "wire",
                 t_wire, self.sim.now, nbytes=nbytes, dst=dst.name, **ident,
             )
-        done.succeed(nbytes)
+        return nbytes

@@ -15,6 +15,7 @@ from .errors import (
     AlreadyTriggered,
     DeadProcess,
     Interrupted,
+    NonFiniteTime,
     SchedulingInPast,
     SimulationError,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "StatsRegistry",
     "SimulationError",
     "SchedulingInPast",
+    "NonFiniteTime",
     "AlreadyTriggered",
     "DeadProcess",
     "Interrupted",

@@ -22,13 +22,19 @@ the ``REPRO_SCHEDULER`` env var, default ``"wheel"``):
   of ``_W`` µs each for the short-horizon timeout churn that dominates
   HPBD/NBD retransmit guards (O(1) insert, lazy per-advance cascade
   instead of a heap sift), and an *overflow heap* for events beyond the
-  wheel horizon.  ``_W`` is a power of two so bucket indexing
-  (``int(when * _INV_W)``) is exact in binary floating point and the
-  bucket partition is deterministic.
+  wheel horizon.  A min-heap of **occupied bucket ordinals** (an ordinal
+  is pushed when its bucket goes from empty to non-empty) lets each
+  advance jump straight to the next bucket that holds an entry, or to
+  the overflow head's bucket when the wheel is empty, so idle simulated
+  time costs nothing however many empty buckets it spans.  ``_W`` is a
+  power of two so bucket indexing (``int(when * _INV_W)``) is exact in
+  binary floating point and the bucket partition is deterministic.
 * ``"heap"`` — the PR 2 binary heap, kept as the equivalence baseline.
 
-Both modes share three fast paths that sit *in front of* the structure,
-so they cannot change the firing order:
+Each backend posts through one method (``_heap_post`` / ``_wheel_post``,
+bound to ``_post``) that handles the solo slot and the placement in a
+single frame.  Both modes share three fast paths that sit *in front of*
+the structure, so they cannot change the firing order:
 
 * the **solo slot**: when the queue is otherwise empty the single pending
   entry is parked in ``_solo`` and dispatched without touching any
@@ -66,6 +72,7 @@ from .errors import (
     AlreadyTriggered,
     DeadProcess,
     Interrupted,
+    NonFiniteTime,
     SchedulingInPast,
     SimulationError,
     StopProcess,
@@ -113,10 +120,22 @@ _W = 8.0
 _INV_W = 0.125
 _NBUCKETS = 512
 
+_INF = float("inf")
+
 _getrefcount = sys.getrefcount
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 _heapify = heapq.heapify
+
+
+def _bad_delay(now: float, delay: float) -> SimulationError:
+    """The error for a ``delay`` that does not put ``now + delay`` at a
+    finite time no earlier than ``now``.  Both backends reject such
+    times when they are scheduled: a NaN or infinite entry would
+    otherwise order differently on the heap and the wheel."""
+    if delay < 0:
+        return SchedulingInPast(now, now + delay)
+    return NonFiniteTime(now, now + delay)
 
 
 class Event:
@@ -265,14 +284,15 @@ class Timeout(Event):
         value: Any = None,
         priority: int = NORMAL,
     ) -> None:
-        if delay < 0:
-            raise SchedulingInPast(sim.now, sim.now + delay)
+        when = sim.now + delay
+        if not (delay >= 0.0 and when < _INF):
+            raise _bad_delay(sim.now, delay)
         super().__init__(sim, name="timeout")
         self.delay = delay
         self._ok = True
         self._value = value
         sim._seq += 1
-        sim._post(sim.now + delay, (priority << _PRIO_SHIFT) + sim._seq, self)
+        sim._post(when, (priority << _PRIO_SHIFT) + sim._seq, self)
 
 
 class Process(Event):
@@ -455,7 +475,7 @@ class Simulator:
         self._seq = 0
         self._event_count = 0
         #: the solo slot: the single pending entry when the rest of the
-        #: queue is empty.  Every push goes through :meth:`_post`, which
+        #: queue is empty.  Every push goes through ``_post``, which
         #: demotes the slot into the structure the moment a second entry
         #: arrives, so ordering is unaffected.
         self._solo: tuple[float, int, Event] | None = None
@@ -467,24 +487,26 @@ class Simulator:
         #: sorted current bucket: every queued entry with when < _cur_end.
         self._cur: list[tuple[float, int, Event]] = []
         #: unsorted wheel buckets for [_cur_end, _horizon), indexed by
-        #: bucket ordinal modulo _NBUCKETS.
+        #: bucket ordinal modulo _NBUCKETS; bucket ordinal ``g`` covers
+        #: [g*_W, (g+1)*_W).
         self._buckets: list[list[tuple[float, int, Event]]] = [
             [] for _ in range(_NBUCKETS)
         ]
-        self._nbucketed = 0
+        #: min-heap of the ordinals of the non-empty wheel buckets, each
+        #: exactly once (pushed when a bucket goes from empty to
+        #: non-empty, popped when the advance empties it into _cur).
+        self._occupied: list[int] = []
         #: overflow heap for entries at or beyond the wheel horizon.
         self._far: list[tuple[float, int, Event]] = []
-        #: current bucket ordinal; bucket ``g`` covers [g*_W, (g+1)*_W).
-        self._gb = 0
         self._cur_end = _W
         self._horizon = _NBUCKETS * _W
         if scheduler is None:
             scheduler = os.environ.get("REPRO_SCHEDULER", "wheel")
         if scheduler == "wheel":
-            self._insert = self._wheel_insert
+            self._post = self._wheel_post
             self._pop_struct = self._wheel_pop
         elif scheduler == "heap":
-            self._insert = self._heap_insert
+            self._post = self._heap_post
             self._pop_struct = self._heap_pop
         else:
             raise ValueError(
@@ -511,25 +533,21 @@ class Simulator:
 
     # -- queue backends ---------------------------------------------------
 
-    def _post(self, when: float, key: int, event: Event) -> None:
-        """Queue an entry: solo slot if the queue is empty, else structure."""
-        if self._solo is None and self._nstruct == 0:
-            self._solo = (when, key, event)
-        else:
-            self._push_full(when, key, event)
+    # The solo slot is non-empty only while the structure is empty, so
+    # demoting it always starts the structure's count from zero.
 
-    def _push_full(self, when: float, key: int, event: Event) -> None:
-        insert = self._insert
+    def _heap_post(self, when: float, key: int, event: Event) -> None:
+        """Queue an entry on the heap backend: solo slot or heap."""
         solo = self._solo
         if solo is not None:
             self._solo = None
-            insert(solo)
-            self._nstruct += 1
-        insert((when, key, event))
+            self._nstruct = 1
+            _heappush(self._heap, solo)
+        elif not self._nstruct:
+            self._solo = (when, key, event)
+            return
         self._nstruct += 1
-
-    def _heap_insert(self, entry: tuple[float, int, Event]) -> None:
-        _heappush(self._heap, entry)
+        _heappush(self._heap, (when, key, event))
 
     def _heap_pop(self) -> "tuple[float, int, Event] | None":
         heap = self._heap
@@ -538,62 +556,80 @@ class Simulator:
         self._nstruct -= 1
         return _heappop(heap)
 
-    def _wheel_insert(self, entry: tuple[float, int, Event]) -> None:
-        when = entry[0]
+    def _wheel_post(self, when: float, key: int, event: Event) -> None:
+        """Queue an entry on the calendar: solo slot, current bucket,
+        wheel bucket or overflow heap."""
+        solo = self._solo
+        if solo is not None:
+            # A second entry arrived: the solo entry joins the calendar
+            # first, placed exactly as the new entry is below.
+            self._solo = None
+            self._nstruct = 1
+            t = solo[0]
+            if t < self._cur_end:
+                _heappush(self._cur, solo)
+            elif t < self._horizon:
+                g = int(t * _INV_W)
+                bucket = self._buckets[g % _NBUCKETS]
+                if not bucket:
+                    _heappush(self._occupied, g)
+                bucket.append(solo)
+            else:
+                _heappush(self._far, solo)
+        elif not self._nstruct:
+            self._solo = (when, key, event)
+            return
+        self._nstruct += 1
         if when < self._cur_end:
-            _heappush(self._cur, entry)
+            _heappush(self._cur, (when, key, event))
         elif when < self._horizon:
-            self._buckets[int(when * _INV_W) % _NBUCKETS].append(entry)
-            self._nbucketed += 1
+            g = int(when * _INV_W)
+            bucket = self._buckets[g % _NBUCKETS]
+            if not bucket:
+                _heappush(self._occupied, g)
+            bucket.append((when, key, event))
         else:
-            _heappush(self._far, entry)
+            _heappush(self._far, (when, key, event))
 
     def _wheel_pop(self) -> "tuple[float, int, Event] | None":
         cur = self._cur
-        if cur:
-            self._nstruct -= 1
-            return _heappop(cur)
-        if self._nstruct == 0:
-            return None
-        # Advance the wheel until the current bucket has an entry.  Each
-        # advance refills _cur from the next bucket and cascades one
-        # bucket-width of the overflow heap in; when the wheel itself is
-        # empty the spin guard jumps straight to the overflow head
-        # instead of stepping 512 times per 4 ms of idle simulated time.
-        buckets = self._buckets
-        far = self._far
-        nb = self._nbucketed
-        while not cur:
-            if nb == 0 and not far:  # pragma: no cover - count mismatch guard
-                self._nbucketed = 0
+        if not cur:
+            # Advance in one jump to the earliest occupied bucket.  Every
+            # wheel bucket lies below the horizon and every overflow
+            # entry at or beyond it, so the overflow head's bucket is
+            # the target only when the wheel is empty.
+            occupied = self._occupied
+            far = self._far
+            if occupied:
+                gb = _heappop(occupied)
+            elif far:
+                gb = int(far[0][0] * _INV_W)
+            else:
                 return None
-            gb = self._gb + 1
-            if nb == 0:
-                head_ordinal = int(far[0][0] * _INV_W)
-                if head_ordinal > gb:
-                    gb = head_ordinal
-            self._gb = gb
             cur_end = (gb + 1) * _W
             self._cur_end = cur_end
             horizon = (gb + _NBUCKETS) * _W
             self._horizon = horizon
+            buckets = self._buckets
             slot = gb % _NBUCKETS
             filled = buckets[slot]
             if filled:
-                buckets[slot] = []
-                nb -= len(filled)
-                cur.extend(filled)
+                # Swap lists: the (empty) current bucket becomes the
+                # wheel slot, the filled slot becomes the current bucket.
+                buckets[slot] = cur
+                self._cur = cur = filled
             while far and far[0][0] < horizon:
                 entry = _heappop(far)
                 when = entry[0]
                 if when < cur_end:
                     cur.append(entry)
                 else:
-                    buckets[int(when * _INV_W) % _NBUCKETS].append(entry)
-                    nb += 1
-            if cur:
-                _heapify(cur)
-        self._nbucketed = nb
+                    g = int(when * _INV_W)
+                    bucket = buckets[g % _NBUCKETS]
+                    if not bucket:
+                        _heappush(occupied, g)
+                    bucket.append(entry)
+            _heapify(cur)
         self._nstruct -= 1
         return _heappop(cur)
 
@@ -620,17 +656,13 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         pool = self._timeout_pool
-        if pool and delay >= 0:
+        when = self.now + delay
+        if pool and delay >= 0.0 and when < _INF:
             to = pool.pop()
             to._value = value
             to.delay = delay
             self._seq += 1
-            key = _NORMAL_BASE + self._seq
-            when = self.now + delay
-            if self._solo is None and self._nstruct == 0:
-                self._solo = (when, key, to)
-            else:
-                self._push_full(when, key, to)
+            self._post(when, _NORMAL_BASE + self._seq, to)
             return to
         return Timeout(self, delay, value)
 
@@ -671,12 +703,11 @@ class Simulator:
     # -- scheduling -------------------------------------------------------
 
     def _enqueue(self, event: Event, delay: float, priority: int) -> None:
-        if delay < 0:
-            raise SchedulingInPast(self.now, self.now + delay)
+        when = self.now + delay
+        if not (delay >= 0.0 and when < _INF):
+            raise _bad_delay(self.now, delay)
         self._seq += 1
-        self._post(
-            self.now + delay, (priority << _PRIO_SHIFT) + self._seq, event
-        )
+        self._post(when, (priority << _PRIO_SHIFT) + self._seq, event)
 
     def schedule_call(
         self, delay: float, fn: Callable[[], None], priority: int = NORMAL
@@ -812,6 +843,8 @@ class Simulator:
             return until._value
 
         deadline = float(until)
+        if not deadline < _INF:
+            raise NonFiniteTime(self.now, deadline)
         if deadline < self.now:
             raise SchedulingInPast(self.now, deadline)
         # A sentinel with a key above every real priority: all real

@@ -23,6 +23,15 @@ class SchedulingInPast(SimulationError):
         self.when = when
 
 
+class NonFiniteTime(SimulationError):
+    """An event was scheduled at an infinite or NaN time."""
+
+    def __init__(self, now: float, when: float) -> None:
+        super().__init__(f"cannot schedule at non-finite t={when} (now t={now})")
+        self.now = now
+        self.when = when
+
+
 class AlreadyTriggered(SimulationError):
     """An event was triggered (succeeded or failed) more than once."""
 

@@ -40,6 +40,7 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name or f"resource({capacity})"
+        self._acquire_name = f"{self.name}.acquire"
         self._available = capacity
         self._waiters: deque[tuple[Event, int]] = deque()
         # occupancy statistics (time-weighted)
@@ -81,7 +82,7 @@ class Resource:
                 f"{self.name}: cannot acquire {units} of {self.capacity}"
             )
         self._account()
-        evt = Event(self.sim, name=f"{self.name}.acquire")
+        evt = self.sim.event(self._acquire_name)
         if not self._waiters and self._available >= units:
             self._available -= units
             evt.succeed(units)

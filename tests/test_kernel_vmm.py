@@ -394,3 +394,194 @@ class TestReadaheadEdges:
             slot = int(aspace.swap_slot[page])
             owner, opage = area.owner(slot)
             assert owner is aspace and opage == page
+
+
+class _HeldDevice:
+    """A block driver that holds each request until the test completes
+    it, so the test knows each I/O's completion instant exactly."""
+
+    def __init__(self, sim, stats):
+        from repro.kernel import RequestQueue
+
+        self.sim = sim
+        self.queue = RequestQueue(
+            sim, "helddev.rq", capacity_sectors=1 << 20, stats=stats
+        )
+        self.held = []
+        self.served = 0
+        sim.spawn(self._serve(), name="helddev")
+
+    def _serve(self):
+        while True:
+            req = yield self.queue.next_request()
+            self.held.append(req)
+            self.served += 1
+
+    def complete_at(self, when):
+        """Complete every request held now at time ``when``."""
+        reqs, self.held = self.held, []
+        assert reqs, "no request to complete"
+
+        def finish():
+            for req in reqs:
+                self.queue.complete(req)
+
+        self.sim.schedule_call(when - self.sim.now, finish)
+
+
+class TestLazyCompletionEvents:
+    """Write-back and read-ahead completions get an event only once
+    something waits on them; every such waiter wakes at the instant the
+    I/O completes."""
+
+    PAGES = 8
+
+    @pytest.fixture
+    def held(self, sim, fabric):
+        node = Node(sim, fabric, "h0", mem_bytes=8 * MiB, ncpus=4)
+        dev = _HeldDevice(sim, node.stats)
+        node.swapon(dev.queue, 64 * MiB)
+        aspace = node.vmm.create_address_space(64, "lazy")
+        return node, dev, aspace
+
+    @staticmethod
+    def _fired_at(sim, evt):
+        fired = []
+        evt.callbacks.append(lambda _e: fired.append(sim.now))
+        return fired
+
+    def _under_writeback(self, sim, node, dev, aspace):
+        """Dirty pages [0, PAGES) and queue them all for write-back."""
+        vmm = node.vmm
+
+        def proc(sim):
+            yield from vmm.touch_run(aspace, 0, self.PAGES, write=True)
+            yield from vmm.reclaim_batch(self.PAGES)
+
+        sim.run(until=sim.spawn(proc(sim)))
+        sim.run(until=sim.now + 500.0)  # past the plug timer
+        assert sorted(aspace.writeback) == list(range(self.PAGES))
+        assert all(evt is None for evt in aspace.writeback.values())
+        assert dev.held
+
+    def _swapped_out(self, sim, node, dev, aspace):
+        """Pages [0, PAGES) written to swap and no longer resident."""
+        self._under_writeback(sim, node, dev, aspace)
+        dev.complete_at(sim.now + 10.0)
+        sim.run(until=sim.now + 20.0)
+        assert not aspace.writeback
+        assert not aspace.resident[: self.PAGES].any()
+
+    def _fault(self, sim, node, aspace, page, delay=0.0):
+        def proc(sim):
+            if delay:
+                yield sim.timeout(delay)
+            yield from node.vmm.touch_run(aspace, page, page + 1, write=False)
+
+        return sim.spawn(proc(sim))
+
+    def test_fault_on_page_under_writeback(self, sim, held):
+        node, dev, aspace = held
+        self._under_writeback(sim, node, dev, aspace)
+        faulter = self._fault(sim, node, aspace, 3)
+        sim.run(until=sim.now + 50.0)
+        evt = aspace.writeback[3]
+        assert evt is not None and evt.owner is faulter
+        assert all(aspace.writeback[p] is None for p in range(self.PAGES) if p != 3)
+        done = sim.now + 100.0
+        fired = self._fired_at(sim, evt)
+        dev.complete_at(done)
+        sim.run(until=done)
+        assert fired == [done]
+        # The fault goes on to read the page back in.
+        sim.run(until=done + 50.0)
+        dev.complete_at(sim.now + 100.0)
+        sim.run(until=faulter)
+        assert aspace.resident[3]
+
+    def test_fault_on_readahead_page(self, sim, held):
+        node, dev, aspace = held
+        self._swapped_out(sim, node, dev, aspace)
+        first = self._fault(sim, node, aspace, 0)
+        sim.run(until=sim.now + 500.0)
+        assert sorted(aspace.swapin_pending) == list(range(self.PAGES))
+        assert aspace.swapin_pending[0].owner is first
+        assert aspace.swapin_pending[5] is None
+        second = self._fault(sim, node, aspace, 5)
+        sim.run(until=sim.now + 50.0)
+        evt = aspace.swapin_pending[5]
+        assert evt is not None and evt.owner is second
+        fired = [self._fired_at(sim, aspace.swapin_pending[p]) for p in (0, 5)]
+        done = sim.now + 100.0
+        dev.complete_at(done)
+        sim.run(until=done)
+        assert fired == [[done], [done]]
+        sim.run_all([first, second])
+        assert aspace.resident[: self.PAGES].all()
+        assert aspace.major_faults == 1
+
+    def test_swapin_recheck_waits_on_readahead(self, sim, held):
+        """A fault that passed its first check, then found its page read
+        ahead by another fault after its frame allocation, waits on that
+        read instead of issuing a second one."""
+        node, dev, aspace = held
+        self._swapped_out(sim, node, dev, aspace)
+        params = node.vmm.params
+        start = sim.now
+        served = dev.served
+        reader = self._fault(sim, node, aspace, 0)
+        # The late fault checks page 5 before the reader marks the
+        # window in flight and re-checks after it.
+        late = self._fault(sim, node, aspace, 5, delay=params.alloc_overhead / 2)
+        marked = start + params.fault_overhead + params.alloc_overhead
+        sim.run(until=marked - params.alloc_overhead / 4)
+        assert 5 not in aspace.swapin_pending
+        sim.run(until=sim.now + 50.0)
+        evt = aspace.swapin_pending[5]
+        assert evt is not None and evt.owner is late
+        fired = self._fired_at(sim, evt)
+        done = sim.now + 500.0
+        sim.run(until=done - 1.0)  # let the plug timer dispatch the read
+        dev.complete_at(done)
+        sim.run(until=done)
+        assert fired == [done]
+        sim.run_all([reader, late])
+        assert dev.served == served + 1  # one read for both faults
+        assert node.stats.get("h0.vm.swapin_pages").total == self.PAGES
+
+    def test_quiesce_wakes_at_completion(self, sim, held):
+        node, dev, aspace = held
+        self._under_writeback(sim, node, dev, aspace)
+        woke = []
+
+        def proc(sim):
+            yield from node.vmm.quiesce()
+            woke.append(sim.now)
+
+        sim.spawn(proc(sim))
+        sim.run(until=sim.now + 10.0)
+        assert aspace.writeback[0] is not None
+        assert all(aspace.writeback[p] is None for p in range(1, self.PAGES))
+        done = sim.now + 100.0
+        dev.complete_at(done)
+        sim.run(until=done + 1.0)
+        assert woke == [done]
+
+    def test_destroy_waits_then_frees_at_completion(self, sim, held):
+        node, dev, aspace = held
+        self._under_writeback(sim, node, dev, aspace)
+        woke = []
+
+        def proc(sim):
+            yield from node.vmm.destroy_address_space(aspace)
+            woke.append(sim.now)
+
+        sim.spawn(proc(sim))
+        sim.run(until=sim.now + 10.0)
+        assert not aspace.dead
+        done = sim.now + 100.0
+        dev.complete_at(done)
+        sim.run(until=done + 1.0)
+        assert woke == [done]
+        assert aspace.dead
+        assert node.frames.used == 0

@@ -156,6 +156,21 @@ class TestFabricTransfers:
         p = sim.spawn(proc(sim))
         assert sim.run(until=p) == pytest.approx(3.0)
 
+    def test_arrival_event_delivers_nbytes_to_yield_and_callback(self, sim, fabric):
+        a, b = fabric.port("a"), fabric.port("b")
+        heard = []
+        arrival = fabric.transfer(a, b, 1000, byte_time=0.01, latency=5.0)
+        arrival.callbacks.append(lambda e: heard.append((sim.now, e.value)))
+
+        def proc(sim):
+            got = yield fabric.transfer(a, b, 700, byte_time=0.01, latency=5.0)
+            return sim.now, got
+
+        p = sim.spawn(proc(sim))
+        # The second transfer queues behind the first on a.tx (10 us).
+        assert sim.run(until=p) == (pytest.approx(22.0), 700)
+        assert heard == [(pytest.approx(15.0), 1000)]
+
     def test_negative_size_rejected(self, sim, fabric):
         a, b = fabric.port("a"), fabric.port("b")
         with pytest.raises(ValueError):

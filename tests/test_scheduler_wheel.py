@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulator import NORMAL, URGENT, Simulator
+from repro.simulator import NORMAL, URGENT, Simulator, Timeout
 from repro.simulator.core import _NBUCKETS, _W
-from repro.simulator.errors import SimulationError
+from repro.simulator.errors import NonFiniteTime, SchedulingInPast, SimulationError
 
 pytestmark = pytest.mark.parametrize("scheduler", ["heap", "wheel"])
 
@@ -217,6 +217,64 @@ class TestEmptyWheelSpin:
         sim.run()
         assert len(fired) == 200
         assert fired[-1] == pytest.approx(1e8 + 100.0)
+
+
+class TestNonFiniteTimes:
+    """``inf`` and ``NaN`` are rejected when scheduled, with the same
+    typed error on both backends, and leave the queue untouched."""
+
+    BAD = [float("inf"), float("nan")]
+
+    def _assert_queue_intact(self, sim):
+        fired = []
+        sim.schedule_call(3.0, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [3.0]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_timeout_rejects(self, scheduler, bad):
+        sim = make_sim(scheduler)
+        with pytest.raises(NonFiniteTime):
+            sim.timeout(bad)
+        with pytest.raises(NonFiniteTime):
+            Timeout(sim, bad)
+        self._assert_queue_intact(sim)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_pooled_timeout_rejects(self, scheduler, bad):
+        sim = make_sim(scheduler)
+        sim.timeout(1.0)
+        sim.run()
+        assert sim._timeout_pool
+        with pytest.raises(NonFiniteTime):
+            sim.timeout(bad)
+        assert sim.now == 1.0
+        sim.timeout(2.0)
+        sim.run()
+        assert sim.now == 3.0
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_schedule_call_rejects(self, scheduler, bad):
+        sim = make_sim(scheduler)
+        with pytest.raises(NonFiniteTime):
+            sim.schedule_call(bad, lambda: None)
+        self._assert_queue_intact(sim)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_run_until_rejects(self, scheduler, bad):
+        sim = make_sim(scheduler)
+        with pytest.raises(NonFiniteTime):
+            sim.run(until=bad)
+        assert sim.now == 0.0
+        self._assert_queue_intact(sim)
+
+    def test_non_finite_is_a_simulation_error(self, scheduler):
+        sim = make_sim(scheduler)
+        with pytest.raises(SimulationError):
+            sim.timeout(float("inf"))
+        # Negative delays keep their own error, -inf included.
+        with pytest.raises(SchedulingInPast):
+            sim.timeout(-float("inf"))
 
 
 class TestRunUntilMarker:
