@@ -341,13 +341,13 @@ def _run_critpath(args) -> int:
     return status
 
 
-_FAULT_MODES = ("remap", "disk", "mirror")
+_FAULT_MODES = ("mirror", "disk")
 _PLACEMENT_POLICIES = ("blocking", "least_loaded", "hash")
 
 #: the HPBD client's recovery counters ``repro faults`` reports.
 _RECOVERY_COUNTERS = (
     "retries", "timeouts", "failovers", "write_failovers",
-    "remaps", "disk_fallbacks", "stale_replies", "servers_dead",
+    "disk_fallbacks", "stale_replies", "servers_dead",
 )
 
 
@@ -359,7 +359,7 @@ def _run_faults(args) -> int:
     recovery counters, the fault/retry blame shares, and the invariant
     monitors.  Exit status is nonzero on any invariant violation, or —
     under ``--expect-recovery`` — when the run recovered without
-    actually exercising the machinery (no failover/remap/fallback or no
+    actually exercising the machinery (no failover/fallback or no
     timeout), or — under ``--replay-check`` — when a second run of the
     same seed diverges.
     """
@@ -449,14 +449,14 @@ def _run_faults(args) -> int:
     if args.expect_recovery:
         recovered = (
             ctrs["failovers"] + ctrs["write_failovers"]
-            + ctrs["remaps"] + ctrs["disk_fallbacks"]
+            + ctrs["disk_fallbacks"]
         )
         detected = ctrs["retries"] + ctrs["timeouts"]
         if recovered == 0 or detected == 0:
             print(
                 f"ERROR: expected recovery activity, got {detected} "
                 f"timeouts/retries and {recovered} "
-                f"failovers/remaps/fallbacks",
+                f"failovers/fallbacks",
                 file=sys.stderr,
             )
             status = 1
@@ -1649,8 +1649,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "machinery and invariant monitors (nonzero exit on violations)",
     )
     fa.add_argument(
-        "--mode", choices=_FAULT_MODES, default="remap",
-        help="recovery mode absorbing the crash (default: remap)",
+        "--mode", choices=_FAULT_MODES, default="mirror",
+        help="recovery mode absorbing the crash (default: mirror)",
     )
     fa.add_argument(
         "--scale", type=int, default=32,

@@ -4,8 +4,7 @@ A tenant's whole swap area is reserved against advertised fleet
 capacity *before* its driver connects — the cluster-level analogue of
 the server's staging-pool NACK: shed load at the door, never wedge
 inside.  On a placement failure the controller re-plans once with
-least-loaded bin-packing (the remap analogue of PR 4's client-side
-recovery); if that fails too, the tenant gets a typed
+least-loaded bin-packing; if that fails too, the tenant gets a typed
 :class:`AdmissionNack` and the runner falls back to its local disk or
 raises, per configuration.
 """
@@ -73,20 +72,14 @@ class AdmissionController:
         self,
         tenant: str,
         total_bytes: int,
-        mirror: bool = False,
         redundancy: str | RedundancyPolicy | None = None,
     ) -> Admission:
         """Plan and reserve ``total_bytes`` for ``tenant``.
 
         ``redundancy`` selects policy-driven group admission (``nway(r)``
-        replica rings or ``rs(k,m)`` stripe groups); ``mirror`` is the
-        legacy 2-way ring, admitted through the same group path.
+        replica rings, mirroring included, or ``rs(k,m)`` stripe groups).
         Raises :class:`AdmissionNack` when no placement fits.
         """
-        if mirror and redundancy is not None:
-            raise ValueError("pass mirror or redundancy, not both")
-        if mirror:
-            return self._admit_mirrored(tenant, total_bytes)
         if redundancy is not None:
             policy = parse_policy(redundancy)
             if policy.kind != "none":
@@ -121,25 +114,6 @@ class AdmissionController:
             area_bases=bases,
             share_bytes=shares,
             policy=policy,
-        )
-
-    def _admit_mirrored(self, tenant: str, total_bytes: int) -> Admission:
-        """The legacy mirror path: a 2-way replica ring over the whole
-        fleet, admitted through the generalized group machinery.  The
-        layout is bit-identical to the original ad-hoc pair scheme (the
-        replica of server i's chunk on server i+1 behind its own share),
-        but ``chunks`` stays empty and the policy label stays "mirror":
-        the driver's default :class:`~repro.hpbd.striping.
-        BlockingDistribution` already encodes the map."""
-        adm = self._admit_group(
-            tenant, total_bytes, RedundancyPolicy("nway", k=1, m=1)
-        )
-        return Admission(
-            tenant=tenant,
-            chunks=[],
-            area_bases=adm.area_bases,
-            share_bytes=adm.share_bytes,
-            policy="mirror",
         )
 
     def _admit_group(

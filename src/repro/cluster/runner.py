@@ -15,7 +15,7 @@ import numpy as np
 from ..config import ClusterScenarioConfig, TenantSpec
 from ..disk.driver import DiskDevice
 from ..disk.model import ST340014A
-from ..faults import FaultInjector
+from ..faults import FaultInjector, ServerCrash
 from ..hpbd.client import HPBDClient
 from ..hpbd.server import HPBDServer
 from ..hpbd.striping import ChunkMapDistribution
@@ -40,16 +40,15 @@ __all__ = ["run_cluster_scenario", "build_cluster_scenario"]
 def _default_capacity(cfg: ClusterScenarioConfig) -> int:
     """Advertised per-server capacity when the config leaves it out:
     an even split of total demand — scaled by each tenant's redundancy
-    overhead (mirror 2x, nway(r) rx, rs(k,m) (k+m)/k) — rounded up to
-    MiB, plus a MiB of slack for allocator rounding.
+    overhead (nway(r) rx, mirror included, rs(k,m) (k+m)/k) — rounded
+    up to MiB, plus a MiB of slack for allocator rounding.
 
     Redundant groups concentrate on k+m members rather than spreading
     fleet-wide, so the even split is a floor; explicit capacity is the
     knob for tight-packing experiments."""
     demand = 0.0
     for t in cfg.tenants:
-        overhead = 2.0 if cfg.mirror else t.redundancy_policy.overhead
-        demand += t.swap_bytes * overhead
+        demand += t.swap_bytes * t.redundancy_policy.overhead
     pol_max = max(
         (t.redundancy_policy for t in cfg.tenants),
         key=lambda p: p.width if p.kind == "rs" else 0,
@@ -86,12 +85,6 @@ class _ClusterScenario:
     """One cluster run's full object graph (exposed for white-box tests)."""
 
     def __init__(self, cfg: ClusterScenarioConfig, trace: bool = False) -> None:
-        if cfg.faults is not None and cfg.faults.degraded_mode == "remap":
-            raise ValueError(
-                "cluster scenarios do not support degraded_mode='remap' "
-                "(chunk-map layouts have no successor-chunk convention); "
-                "use 'disk' or 'none'"
-            )
         self.cfg = cfg
         self.sim = Simulator()
         if trace:
@@ -163,7 +156,13 @@ class _ClusterScenario:
             for t in self.tenants
             if t.admission is not None and t.admission.group is not None
         ]
-        if redundant and cfg.repair:
+        plan = cfg.faults.plan if cfg.faults is not None else None
+        # Only a crash flips a server's liveness, so without one the
+        # repair manager's scans could never act.
+        crashes = plan is not None and any(
+            isinstance(e, ServerCrash) for e in plan.events
+        )
+        if redundant and crashes:
             self.migrator = ChunkMigrator(
                 self.sim,
                 self.registry,
@@ -207,7 +206,6 @@ class _ClusterScenario:
             tenant.admission = self.admission.admit(
                 spec.name,
                 spec.swap_bytes,
-                mirror=cfg.mirror,
                 redundancy=(
                     spec.redundancy if spec.redundancy != "none" else None
                 ),
@@ -268,20 +266,14 @@ class _ClusterScenario:
             server_area_bases=tenant.admission.area_bases,
             tenant=spec.name,
             qos_weight=spec.weight,
-            # Mirrored tenants use the driver's default blocking layout
-            # (the admission grant carries no chunk map); redundant
-            # tenants route by the group's data map + parity extents.
-            distribution=(
-                None
-                if cfg.mirror
-                else ChunkMapDistribution(
-                    spec.swap_bytes,
-                    cfg.nservers,
-                    tenant.admission.chunks,
-                    tenant.admission.parity_chunks or None,
-                )
+            # The grant's data chunk map, plus a redundant tenant's
+            # replica / parity extents.
+            distribution=ChunkMapDistribution(
+                spec.swap_bytes,
+                cfg.nservers,
+                tenant.admission.chunks,
+                tenant.admission.parity_chunks or None,
             ),
-            mirror=cfg.mirror,
             redundancy=tenant.admission.group,
             health=self.health,
             **recovery,

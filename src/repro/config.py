@@ -67,6 +67,7 @@ class HPBD:
     #: ablation (§4.2.5): stripe size in bytes (None = blocking layout)
     stripe_bytes: int | None = None
     #: reliability extension: synchronous write mirroring + read failover
+    #: (an nway(2) replica ring over the servers)
     mirror: bool = False
     label: str = "hpbd"
 
@@ -122,25 +123,25 @@ class FaultConfig:
     max_retries: int = 2
     retry_backoff_usec: float = 200.0
     backoff_mult: float = 2.0
-    #: what happens once an HPBD server is dead: "remap" its chunk onto
-    #: the successor server, fall back to the local "disk", or "none"
-    #: (mirroring handles it, or the run fails)
+    #: where an unprotected tenant's requests go once an HPBD server is
+    #: dead: the local "disk", or "none" (the run fails); redundant
+    #: tenants (mirror included) re-route through their group instead
     degraded_mode: str = "none"
     #: the disk model backing ``degraded_mode="disk"``
     fallback_disk: DiskParams = ST340014A
-    #: fail-slow countermeasures (mirrored drivers only): per-server RTT
-    #: EWMAs steer mirror reads to the faster copy and quarantine
-    #: verdicts relax mirrored-write acks to semi-sync
+    #: fail-slow countermeasures (nway rings only, mirror included):
+    #: per-server RTT EWMAs steer reads to the fastest copy and
+    #: quarantine verdicts relax redundant-write acks to semi-sync
     ewma_select: bool = False
-    #: hedged reads: fire a tied request at the mirror when an attempt
-    #: exceeds its EWMA-derived deadline; first reply wins
+    #: hedged reads: fire a tied request at an untried copy when an
+    #: attempt exceeds its EWMA-derived deadline; first reply wins
     hedge_reads: bool = False
     #: hedge deadline = max(hedge_min_usec, srtt + hedge_k * rttvar)
     hedge_k: float = 4.0
     hedge_min_usec: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.degraded_mode not in ("none", "remap", "disk"):
+        if self.degraded_mode not in ("none", "disk"):
             raise ValueError(f"unknown degraded_mode {self.degraded_mode!r}")
         if self.request_timeout_usec is not None and self.request_timeout_usec <= 0:
             raise ValueError(f"bad request_timeout_usec {self.request_timeout_usec}")
@@ -254,10 +255,10 @@ class ClusterScenarioConfig:
     #: "blocking" (the paper's contiguous layout), "least_loaded"
     #: bin-packing, or consistent-"hash" sharding
     placement: str = "blocking"
-    #: mirror every tenant's pages across the fleet (replica of server
-    #: i's chunk on server i+1): blocking layout over all servers, each
-    #: server reserving its own share plus its predecessor's replica
-    #: area.  Enables the fail-slow countermeasures in FaultConfig.
+    #: mirror every tenant's pages across the fleet: an alias that gives
+    #: each tenant ``redundancy="nway(2)"`` (replica of server i's chunk
+    #: on server i+1, behind that server's own share).  Enables the
+    #: fail-slow countermeasures in FaultConfig.
     mirror: bool = False
     #: weighted-fair QoS: partition server credits by tenant weight and
     #: serve requests in start-time-fair order (off = FIFO free-for-all)
@@ -283,8 +284,6 @@ class ClusterScenarioConfig:
     #: aggregate background-copy bandwidth cap (migration + repair) in
     #: MiB/s; ``None`` leaves the bulk channel unthrottled
     migration_throttle_mib_s: float | None = None
-    #: background shard repair for redundant tenants (crash -> rebuild)
-    repair: bool = True
     #: repair manager scan period (liveness edges + rebuild triggers)
     repair_interval_usec: float = 500.0
     #: rebuild a still-down member onto a spare after this long down
@@ -305,16 +304,18 @@ class ClusterScenarioConfig:
             raise ValueError(f"duplicate tenant names in {names}")
         if self.nservers < 1:
             raise ValueError(f"need at least one server, got {self.nservers}")
-        if self.mirror and self.nservers < 2:
-            raise ValueError("mirrored cluster needs at least two servers")
         if self.mirror:
+            if self.nservers < 2:
+                raise ValueError("mirrored cluster needs at least two servers")
             for t in self.tenants:
-                if t.swap_bytes % self.nservers:
+                if t.redundancy_policy.label not in ("none", "nway(2)"):
                     raise ValueError(
-                        f"tenant {t.name}: mirrored swap area "
-                        f"{t.swap_bytes} B must divide evenly across "
-                        f"{self.nservers} servers"
+                        f"tenant {t.name}: per-tenant redundancy and the "
+                        f"fleet-wide mirror flag are exclusive"
                     )
+            self.tenants = [
+                replace(t, redundancy="nway(2)") for t in self.tenants
+            ]
         if self.placement not in PLACEMENT_POLICIES:
             raise ValueError(
                 f"placement {self.placement!r} not in {PLACEMENT_POLICIES}"
@@ -323,11 +324,6 @@ class ClusterScenarioConfig:
             pol = t.redundancy_policy
             if pol.kind == "none":
                 continue
-            if self.mirror:
-                raise ValueError(
-                    f"tenant {t.name}: per-tenant redundancy and the "
-                    f"fleet-wide mirror flag are exclusive"
-                )
             if self.faults is not None and self.faults.degraded_mode != "none":
                 raise ValueError(
                     f"tenant {t.name}: redundancy supplies its own "

@@ -378,9 +378,9 @@ def faults_points(scale: int = DEFAULT_SCALE) -> list[SweepPoint]:
 
     Not a paper figure — the reliability extension's sweep: a healthy
     run under the recovery machinery (the control), a mid-run server
-    crash absorbed by chunk remapping, by disk fallback, and by a
-    mirror replica, plus a degraded link and a credit squeeze.  Every
-    point must complete with clean invariant monitors.
+    crash absorbed by disk fallback and by a mirror replica, plus a
+    degraded link and a credit squeeze.  Every point must complete with
+    clean invariant monitors.
     """
 
     def _cfg(device, faults: FaultConfig) -> ScenarioConfig:
@@ -405,10 +405,7 @@ def faults_points(scale: int = DEFAULT_SCALE) -> list[SweepPoint]:
     ))
     quad = HPBD(nservers=4)
     return [
-        SweepPoint("faults/baseline",
-                   _cfg(quad, FaultConfig(degraded_mode="remap"))),
-        SweepPoint("faults/crash-remap",
-                   _cfg(quad, FaultConfig(plan=crash, degraded_mode="remap"))),
+        SweepPoint("faults/baseline", _cfg(quad, FaultConfig())),
         SweepPoint("faults/crash-disk",
                    _cfg(quad, FaultConfig(plan=crash, degraded_mode="disk"))),
         SweepPoint("faults/degrade",

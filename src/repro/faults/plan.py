@@ -36,9 +36,9 @@ class ServerCrash:
     A crashed server silently drops every control message it receives
     and suppresses in-flight replies — exactly what a dead peer looks
     like to the client.  ``wipe=True`` (the default) clears its RamDisk,
-    so even after a restart the stored pages are gone; recovery must
-    come from a replica, a remap, or the swap semantics (never-written
-    pages legitimately read back as zero pages).
+    so even after a restart the stored pages are gone; only a
+    redundancy group's surviving copies (mirror included) bring them
+    back (never-written pages legitimately read back as zero pages).
     """
 
     at: float

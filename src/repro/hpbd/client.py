@@ -22,17 +22,21 @@ Reliability (§4.1: "Failure in page handling can adversely impact
 system stability and even crash the system") — every physical request
 is tracked as an *attempt* with its own send timestamp and deadline:
 
-* with ``request_timeout_usec`` set, a watchdog expires overdue
-  attempts and drives a bounded retry/backoff state machine;
-* an exhausted or hopeless attempt marks its server dead and re-routes:
-  to the mirror replica, onto a surviving server (``degraded_mode=
-  "remap"``), or down to the local swap disk (``degraded_mode="disk"``);
-* with timeouts disabled (the default) behaviour is unchanged: a server
-  error raises, except for the mirror read-failover path.
+* one failure ladder serves every tenant: with ``request_timeout_usec``
+  set, a watchdog expires overdue attempts, a failed attempt is retried
+  with bounded backoff, then its server is marked dead and the request
+  re-routes through the tenant's redundancy group (``mirror=True`` is
+  an ``nway(2)`` ring: another copy; ``rs``: a degraded read).  An
+  unprotected tenant is the degenerate group: its only re-route is the
+  local swap disk (``degraded_mode="disk"``), else a typed error;
+* with timeouts disabled (the default) there is no dead-set: a server
+  error raises, except that a read may still fail over to a copy no
+  attempt has tried.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..ib import HCA, CompletionQueue, RecvWR, SendWR, connect_endpoints
@@ -41,6 +45,7 @@ from ..kernel.node import Node
 from ..net.fabrics import IBParams, IB_DEFAULT, memcpy_cost
 from ..obs.sketch import EWMA
 from ..redundancy.policy import (
+    RedundancyPolicy,
     ShardGroup,
     parity_row_entry,
     parity_token,
@@ -71,15 +76,17 @@ from .striping import BlockingDistribution, Segment
 
 __all__ = ["HPBDClient"]
 
-#: degraded-mode policies once a server is declared dead
-DEGRADED_MODES = ("none", "remap", "disk")
+#: where an unprotected tenant's requests go once a server is dead:
+#: nowhere (the run fails) or the local swap "disk"
+DEGRADED_MODES = ("none", "disk")
 
 #: TCP-RTO-style estimator gains for the per-server RTT EWMAs driving
 #: replica selection and the hedged-read deadline.
 RTT_ALPHA = 0.125
 RTTVAR_ALPHA = 0.25
-#: replica selection: both copies need this many RTT samples, and the
-#: replica must beat the primary by this margin, before reads steer.
+#: replica selection: the read's first alive copy and a candidate both
+#: need this many RTT samples, and the candidate must beat the first
+#: copy by this margin, before reads steer.
 SELECT_MIN_SAMPLES = 8
 SELECT_MARGIN = 0.8
 #: every Nth steered read probes the avoided copy instead, so its EWMA
@@ -115,14 +122,11 @@ class _Inflight:
     sent_at: float = 0.0
     #: swap-out payload token, re-sent verbatim on every attempt
     token: object = None
-    #: mirroring: how many acknowledgements must still arrive before the
-    #: shared buffer can be released and the segment counted done.
+    #: redundant writes: how many acknowledgements must still arrive
+    #: before the shared buffer can be released and the segment counted
+    #: done.
     copies_left: int = 1
-    #: mirroring: server index holding the replica (read failover target)
-    replica_server: int | None = None
-    #: mirroring: True once this read was already retried on the replica
-    failed_over: bool = False
-    #: semi-sync mirroring: acknowledgements that must arrive before the
+    #: semi-sync writes: acknowledgements that must arrive before the
     #: segment counts *complete* (may be < copies_left under quarantine)
     need_acks: int = 1
     #: successful acknowledgements received so far
@@ -154,8 +158,8 @@ class _Inflight:
     #: role index of ``seg.server`` within the redundancy group at issue
     #: time (stable across spare rebuilds, unlike the server id)
     shard_idx: int = 0
-    #: servers that failed an attempt of this segment (legacy no-timeout
-    #: runs have no dead-set to exclude repeat offenders by)
+    #: servers that failed an attempt of this segment: a re-route never
+    #: goes back to them (runs without timeouts have no dead-set)
     failed_servers: set = field(default_factory=set)
 
 
@@ -169,7 +173,7 @@ class _Attempt:
     sent_at: float
     deadline: float | None = None
     retries: int = 0
-    #: when the watchdog should fire a tied request at the other copy
+    #: when the watchdog should fire a tied request at an untried copy
     #: (None: hedging off, already fired, or not hedgeable)
     hedge_at: float | None = None
     #: this attempt *is* the tied request of a hedged read
@@ -218,35 +222,34 @@ class HPBDClient:
     ) -> None:
         if not servers:
             raise ValueError("HPBD needs at least one memory server")
-        if mirror and len(servers) < 2:
-            raise ValueError("mirroring needs at least two servers")
         if degraded_mode not in DEGRADED_MODES:
             raise ValueError(
                 f"degraded_mode {degraded_mode!r} not in {DEGRADED_MODES}"
             )
-        if mirror and degraded_mode == "remap":
-            raise ValueError(
-                "mirror already re-routes around a dead server; "
-                "combine it with degraded_mode 'none' or 'disk'"
-            )
-        if degraded_mode == "remap" and len(servers) < 2:
-            raise ValueError("remap degraded mode needs at least two servers")
         if degraded_mode == "disk" and fallback_queue is None:
             raise ValueError("disk degraded mode needs a fallback_queue")
         if request_timeout_usec is not None and request_timeout_usec <= 0:
             raise ValueError(f"bad request timeout {request_timeout_usec}")
-        if (ewma_select or hedge_reads) and not mirror:
-            raise ValueError(
-                "EWMA replica selection / hedged reads need mirror=True"
-            )
         if redundancy is not None and redundancy.policy.kind == "none":
             redundancy = None
-        if redundancy is not None:
-            if mirror:
+        if mirror:
+            if redundancy is not None:
                 raise ValueError(
                     "pass mirror or redundancy, not both (mirror is "
                     "nway(2) under the policy layer)"
                 )
+            if len(servers) < 2:
+                raise ValueError("mirroring needs at least two servers")
+            # Reliability extension (§4.1 points at NRD [13] / RRMP):
+            # mirroring is the two-copy replica ring over the whole
+            # fleet — server i's chunk is copied to server i+1 (mod n)
+            # behind that server's own share.
+            redundancy = ShardGroup(
+                RedundancyPolicy("nway", k=1, m=1),
+                list(range(len(servers))),
+                total_bytes // len(servers),
+            )
+        if redundancy is not None:
             if degraded_mode != "none":
                 raise ValueError(
                     "redundancy subsumes the degraded modes: rs reads "
@@ -262,6 +265,13 @@ class HPBDClient:
                     f"redundancy group names servers {bad}, fleet has "
                     f"{len(servers)}"
                 )
+        if (ewma_select or hedge_reads) and (
+            redundancy is None or redundancy.policy.kind != "nway"
+        ):
+            raise ValueError(
+                "EWMA replica selection / hedged reads need a replica "
+                "ring (mirror=True or an nway group)"
+            )
         if hedge_k <= 0 or hedge_min_usec < 0:
             raise ValueError(f"bad hedge parameters ({hedge_k}, {hedge_min_usec})")
         self.sim = sim
@@ -290,13 +300,14 @@ class HPBDClient:
             self.server_area_bases = list(server_area_bases)
         else:
             self.server_area_bases = [server_area_base] * len(servers)
-        self.server_area_base = server_area_base
         #: cluster identity: tags this driver's traffic on every server
         #: (per-tenant accounting + weighted-fair service).
         self.tenant = tenant
         if qos_weight <= 0:
             raise ValueError(f"bad qos weight {qos_weight}")
         self.qos_weight = qos_weight
+        if redundancy is not None and stripe_bytes is not None:
+            raise ValueError("a redundancy group lays its own chunk map")
         if redundancy is not None and distribution is None:
             # Standalone (non-cluster) construction: derive the chunk
             # map from the group so driver unit tests need no planner.
@@ -335,45 +346,36 @@ class HPBDClient:
                 "disk degraded mode needs a distribution with contiguous "
                 "device-space segments (blocking layout)"
             )
-        #: reliability extension (§4.1 points at NRD [13] / RRMP): write
-        #: every page to a replica server too; reads fail over to the
-        #: replica if the primary errors.  The replica of server i's
-        #: chunk lives on server i+1 (mod n) at base ``share_of(i+1)``.
-        self.mirror = mirror
+        ring = redundancy is not None and redundancy.policy.kind == "nway"
+        if ring and any(
+            self.dist.share_of(s) != redundancy.share_bytes
+            for s in redundancy.servers
+        ):
+            raise ValueError(
+                f"{redundancy.policy.label} ring needs an equal "
+                f"{redundancy.share_bytes} B share on every member"
+            )
         #: erasure-coded / replicated remote memory: the ShardGroup maps
         #: group members to shard roles (rs: k data + m parity; nway:
         #: every member data, r-1 ring replicas each).
         self.redundancy = redundancy
         for i, srv in enumerate(servers):
-            share = self.dist.share_of(i)
-            pshare = (
-                self.dist.parity_share_of(i)
-                if hasattr(self.dist, "parity_share_of")
-                else 0
-            )
-            if share == 0 and pshare == 0 and not mirror and degraded_mode != "remap":
-                # Chunk-map layouts may leave a fleet server unused by
-                # this tenant; nothing to size against.
-                continue
-            need = self.server_area_bases[i] + share + pshare
-            if mirror:
-                # room for the predecessor's replica behind its own area
-                prev = (i - 1) % len(servers)
-                need += self.dist.share_of(prev)
-            elif degraded_mode == "remap":
-                # room to adopt a dead neighbour's chunk behind its own
-                # area (same layout math as the mirror replica area)
-                need += max(
-                    self.dist.share_of(j)
-                    for j in range(len(servers))
-                    if j != i
-                )
+            if redundancy is not None:
+                if i not in redundancy.servers:
+                    continue
+                need = redundancy.member_need_bytes()
+            else:
+                need = self.dist.share_of(i)
+                if not need:
+                    # Chunk-map layouts may leave a fleet server unused
+                    # by this tenant; nothing to size against.
+                    continue
+            need += self.server_area_bases[i]
             if srv.ramdisk.size < need:
                 raise ValueError(
                     f"server {srv.name} RamDisk ({srv.ramdisk.size} B) too "
                     f"small: needs {need} B"
-                    + (" (share + replica area)" if mirror else "")
-                    + (" (share + remap area)" if degraded_mode == "remap" else "")
+                    + (" (share + replica area)" if ring else "")
                 )
         self.queue = RequestQueue(
             sim,
@@ -412,8 +414,9 @@ class HPBDClient:
         self._stale: set[int] = set()
         self._watch_wake = WaitQueue(sim, name=f"{name}.watchdog", latch=True)
         self._watchdog_spawned = False
-        # fail-slow countermeasures (mirror only): EWMA replica
-        # selection, hedged reads, quarantine-aware semi-sync writes
+        # fail-slow countermeasures (nway rings, mirror included): EWMA
+        # replica selection, hedged reads, quarantine-aware semi-sync
+        # writes
         self.ewma_select = ewma_select
         self.hedge_reads = hedge_reads
         self.hedge_k = hedge_k
@@ -452,7 +455,6 @@ class HPBDClient:
         self._c_timeouts = self.stats.counter(f"{name}.timeouts")
         self._c_failovers = self.stats.counter(f"{name}.failovers")
         self._c_write_failovers = self.stats.counter(f"{name}.write_failovers")
-        self._c_remaps = self.stats.counter(f"{name}.remaps")
         self._c_disk_fallbacks = self.stats.counter(f"{name}.disk_fallbacks")
         self._c_stale = self.stats.counter(f"{name}.stale_replies")
         self._c_nacks = self.stats.counter(f"{name}.nacks")
@@ -554,14 +556,7 @@ class HPBDClient:
         token = None
         if req.op == WRITE:
             token = (self.name, req.sector, seg.server_offset, seg.nbytes)
-        replica = (seg.server + 1) % len(self.servers) if self.mirror else None
-        entry = _Inflight(
-            pending=pending,
-            seg=seg,
-            op=req.op,
-            token=token,
-            replica_server=replica,
-        )
+        entry = _Inflight(pending=pending, seg=seg, op=req.op, token=token)
         if self.redundancy is not None and req.op == WRITE:
             # Open-writes registry: any copy of this write may still be
             # unapplied somewhere until the last ack, so repair's
@@ -626,8 +621,8 @@ class HPBDClient:
                     t_enc, sim.now,
                     req_id=req.req_id, nbytes=seg.nbytes,
                 )
-        # Synchronous mirroring: the same buffer is RDMA-read by both
-        # servers; the segment completes only when both acknowledge.
+        # Synchronous redundant writes: the same buffer is RDMA-read by
+        # every copy's server; the segment completes only when all ack.
         entry.copies_left = len(targets)
         entry.need_acks = len(targets)
         if entry.op == WRITE and len(targets) > 1 and self.ewma_select:
@@ -637,12 +632,12 @@ class HPBDClient:
                 if self._is_quarantined(server)
             ]
             if limping:
-                # Semi-sync mirroring: a quarantined copy's ack stops
-                # gating completion.  Both copies still land (reads
+                # Semi-sync writes: a quarantined copy's ack stops
+                # gating completion.  Every copy still lands (reads
                 # after the quarantine lifts stay correct) and the pool
-                # buffer is held until every ack, so the straggler's
-                # RDMA read stays valid.
-                entry.need_acks = 1
+                # buffer is held until every ack, so the stragglers'
+                # RDMA reads stay valid.
+                entry.need_acks = max(1, len(targets) - len(limping))
                 self._c_semisync.add()
         for server, offset in targets:
             yield from self._post_attempt(entry, server, offset)
@@ -650,72 +645,28 @@ class HPBDClient:
     def _fresh_targets(self, entry: _Inflight) -> list[tuple[int, int]]:
         """Where a brand-new segment goes, honouring dead servers.
 
-        Returns ``(server, store_offset)`` pairs — two for a mirrored
-        write, one otherwise, empty for straight-to-disk fallback.
-        """
-        if self.redundancy is not None:
-            return self._fresh_targets_redundant(entry)
-        seg = entry.seg
-        primary = seg.server
-        if primary not in self._dead:
-            if self.mirror and entry.op == WRITE:
-                replica = entry.replica_server
-                if replica in self._dead:
-                    # Degraded mirroring: keep writing the surviving copy.
-                    self._c_write_failovers.add()
-                    return [(primary, seg.server_offset)]
-                return [
-                    (primary, seg.server_offset),
-                    (replica, self.dist.share_of(replica) + seg.server_offset),
-                ]
-            if self.mirror and entry.op == READ and self.ewma_select:
-                target = self._pick_read_server(entry)
-                if target != primary:
-                    return [
-                        (target, self.dist.share_of(target) + seg.server_offset)
-                    ]
-            return [(primary, seg.server_offset)]
-        if self.mirror:
-            replica = entry.replica_server
-            if replica in self._dead:
-                raise SimulationError(
-                    f"{self.name}: segment {seg} lost both copies "
-                    f"(servers {primary} and {replica} dead)"
-                )
-            if entry.op == WRITE:
-                self._c_write_failovers.add()
-            else:
-                self._c_failovers.add()
-                entry.failed_over = True
-            return [(replica, self.dist.share_of(replica) + seg.server_offset)]
-        if self.degraded_mode == "remap":
-            target = self._remap_target()
-            self._c_remaps.add()
-            return [(target, self.dist.share_of(target) + seg.server_offset)]
-        if self.degraded_mode == "disk":
-            return []
-        raise SimulationError(
-            f"{self.name}: server {primary} is dead and no degraded mode "
-            f"is configured"
-        )
-
-    # -- redundancy (rs / nway) data path -----------------------------------
-
-    def _fresh_targets_redundant(
-        self, entry: _Inflight
-    ) -> list[tuple[int, int]]:
-        """Targets for a brand-new segment under a redundancy group.
-
-        rs(k,m): a write lands on its data shard plus every alive parity
-        shard (all at the same stripe-row offset); with the data shard
-        dead the write goes parity-only and repair posts a catch-up
-        later.  A read goes to the data shard, or fans out degraded.
-        nway(r): a write lands on every alive ring copy, a read on the
-        first alive copy in ring order.
+        Returns ``(server, store_offset)`` pairs: one per alive copy of
+        a redundant write, one for a read, none for straight-to-disk
+        fallback.  rs(k,m): a write lands on its data shard plus every
+        alive parity shard (all at the same stripe-row offset); with
+        the data shard dead the write goes parity-only and repair posts
+        a catch-up later.  A read goes to the data shard, or fans out
+        degraded.  nway(r): a write lands on every alive ring copy, a
+        read on the first alive copy in ring order (or the fastest one
+        under EWMA selection).
         """
         group = self.redundancy
-        pol = group.policy
         seg = entry.seg
+        if group is None:
+            if seg.server not in self._dead:
+                return [(seg.server, seg.server_offset)]
+            if self.degraded_mode == "disk":
+                return []
+            raise SimulationError(
+                f"{self.name}: server {seg.server} is dead and no "
+                f"degraded mode is configured"
+            )
+        pol = group.policy
         if pol.kind == "rs":
             row = seg.server_offset
             if entry.op == WRITE:
@@ -740,37 +691,49 @@ class HPBDClient:
             if seg.server not in self._dead:
                 return [(seg.server, row)]
             return self._degraded_target_list(entry)
-        # nway ring: copy j of member i's chunk on member (i+j) at
-        # store offset j * share.
+        copies = self._ring_copies(seg)
+        alive = [(s, off) for s, off in copies if s not in self._dead]
+        if not alive:
+            raise SimulationError(
+                f"{self.name}: segment {seg} lost all {len(copies)} copies"
+            )
+        if entry.op == WRITE:
+            if len(alive) < len(copies):
+                self._c_write_failovers.add()
+            return alive
+        if alive[0][0] != seg.server:
+            self._c_failovers.add()
+        if self.ewma_select:
+            return [self._pick_read_copy(alive)]
+        return alive[:1]
+
+    def _ring_copies(self, seg: Segment) -> list[tuple[int, int]]:
+        """Every ``(server, store_offset)`` copy of a segment in an nway
+        ring, in ring order: copy j of member i's chunk lives on member
+        (i+j) at store offset ``j * share``."""
+        group = self.redundancy
         pos = group.shard_index(seg.server)
         g = len(group.servers)
-        share = group.share_bytes
-        copies = [
+        return [
             (
                 group.servers[(pos + j) % g],
-                j * share + seg.server_offset,
+                j * group.share_bytes + seg.server_offset,
             )
-            for j in range(pol.m + 1)
+            for j in range(group.policy.m + 1)
         ]
-        if entry.op == WRITE:
-            targets = [(s, o) for s, o in copies if s not in self._dead]
-            if not targets:
-                raise SimulationError(
-                    f"{self.name}: write segment {seg} lost all "
-                    f"{pol.m + 1} copies"
-                )
-            if len(targets) < pol.m + 1:
-                self._c_write_failovers.add()
-            return targets
-        for s, off in copies:
-            if s not in self._dead:
-                if s != seg.server:
-                    self._c_failovers.add()
-                    entry.failed_over = True
-                return [(s, off)]
-        raise SimulationError(
-            f"{self.name}: segment {seg} lost all {pol.m + 1} copies"
-        )
+
+    def _untried_copy(
+        self, entry: _Inflight, server: int
+    ) -> tuple[int, int] | None:
+        """First alive ring copy of a read that no attempt has tried:
+        neither ``server`` (the attempt in hand) nor a failed one."""
+        tried = {server} | entry.failed_servers
+        for s, off in self._ring_copies(entry.seg):
+            if s not in self._dead and s not in tried:
+                return s, off
+        return None
+
+    # -- redundancy (rs / nway) data path -----------------------------------
 
     def _degraded_target_list(
         self, entry: _Inflight
@@ -807,19 +770,6 @@ class HPBDClient:
             server=seg.server, shard=entry.lost_shard,
         )
         return [(s, seg.server_offset) for s in chosen]
-
-    def _start_degraded(self, entry: _Inflight) -> None:
-        """A plain rs read failed against its (now dead) data shard:
-        restart the entry as a degraded fan-out."""
-        targets = self._degraded_target_list(entry)
-        entry.acked = 0
-        entry.copies_left = len(targets)
-        entry.need_acks = len(targets)
-        for s, off in targets:
-            self.sim.spawn(
-                self._post_attempt(entry, s, off),
-                name=f"{self.name}.degraded",
-            )
 
     def _acquire_rows(self, entry: _Inflight):
         """Block until no in-flight rs write overlaps this write's
@@ -903,36 +853,41 @@ class HPBDClient:
                 nbytes=seg.nbytes,
             )
 
-    def _pick_read_server(self, entry: _Inflight) -> int:
-        """EWMA replica selection for a mirror read: steer to the copy
-        whose server answers faster, with quarantine verdicts taking
-        precedence and a deterministic probe keeping the avoided copy
-        sampled (so a recovered server wins its traffic back)."""
-        primary = entry.seg.server
-        replica = entry.replica_server
-        if replica is None or replica in self._dead:
-            return primary
-        primary_q = self._is_quarantined(primary)
-        replica_q = self._is_quarantined(replica)
-        if replica_q and not primary_q:
-            return primary
-        if primary_q and not replica_q:
-            steer = True
+    def _pick_read_copy(
+        self, alive: list[tuple[int, int]]
+    ) -> tuple[int, int]:
+        """EWMA replica selection over a read's alive ring copies: steer
+        from the first copy to the fastest other one, with quarantine
+        verdicts taking precedence and a deterministic probe keeping the
+        first copy sampled (so a recovered server wins its traffic
+        back)."""
+        home = alive[0]
+        if len(alive) == 1:
+            return home
+        home_q = self._is_quarantined(home[0])
+        healthy = [c for c in alive[1:] if not self._is_quarantined(c[0])]
+        srtt = self._srtt
+        if home_q and healthy:
+            picks = healthy
         else:
-            srtt_p = self._srtt[primary]
-            srtt_r = self._srtt[replica]
-            steer = (
-                srtt_p.count >= SELECT_MIN_SAMPLES
-                and srtt_r.count >= SELECT_MIN_SAMPLES
-                and srtt_r.value < SELECT_MARGIN * srtt_p.value
-            )
-        if not steer:
-            return primary
+            srtt_h = srtt[home[0]]
+            picks = [
+                c
+                for c in (alive[1:] if home_q else healthy)
+                if srtt_h.count >= SELECT_MIN_SAMPLES
+                and srtt[c[0]].count >= SELECT_MIN_SAMPLES
+                and srtt[c[0]].value < SELECT_MARGIN * srtt_h.value
+            ]
+        if not picks:
+            return home
         self._steer_count += 1
         if self._steer_count % SELECT_PROBE_EVERY == 0:
-            return primary
+            return home
         self._c_steered.add()
-        return replica
+        return min(
+            picks,
+            key=lambda c: srtt[c[0]].value if srtt[c[0]].count else math.inf,
+        )
 
     def _is_quarantined(self, server: int) -> bool:
         """Health-hub fail-slow verdict, with per-client edge tracking
@@ -977,19 +932,6 @@ class HPBDClient:
             self.hedge_min_usec,
             srtt.value + self.hedge_k * self._rttvar[server].value,
         )
-
-    def _remap_target(self) -> int:
-        """The survivor adopting the dead server's chunk: its successor
-        (mod n), hosting it behind its own area — the same layout math
-        as the mirror replica, so store sizing is shared too."""
-        if len(self._dead) != 1:
-            raise SimulationError(
-                f"{self.name}: remap handles exactly one dead server, "
-                f"have {sorted(self._dead)}"
-            )
-        dead = next(iter(self._dead))
-        target = (dead + 1) % len(self.servers)
-        return target
 
     def _post_attempt(
         self,
@@ -1053,17 +995,11 @@ class HPBDClient:
             and not is_hedge
             and entry.op == READ
             and not entry.hedged
-            and entry.replica_server is not None
+            and self._untried_copy(entry, server) is not None
         ):
-            other = (
-                entry.replica_server
-                if server == entry.seg.server
-                else entry.seg.server
-            )
-            if other not in self._dead:
-                delay = self._hedge_delay(server)
-                if delay is not None:
-                    hedge_at = now + delay
+            delay = self._hedge_delay(server)
+            if delay is not None:
+                hedge_at = now + delay
         self._inflight[preq.req_id] = _Attempt(
             entry=entry,
             server=server,
@@ -1391,119 +1327,68 @@ class HPBDClient:
 
     def _fire_hedge(self, att: _Attempt) -> None:
         """The EWMA-derived hedge deadline passed without a reply: fire
-        a tied request at the other copy; first acknowledgement wins and
-        the loser is cancelled with its credit reclaimed."""
+        a tied request at an alive copy no attempt has tried; first
+        acknowledgement wins and the losers are cancelled with their
+        credits reclaimed."""
         entry = att.entry
         if entry.completed or entry.hedged or entry.op != READ:
             return
-        primary = entry.seg.server
-        other = entry.replica_server if att.server == primary else primary
-        if other is None or other in self._dead:
+        copy = self._untried_copy(entry, att.server)
+        if copy is None:
             return
         entry.hedged = True
         self._c_hedges.add()
         self.sim.trace.instant(
             self.name, "recovery", "hedge_fired",
             req_id=entry.pending.req.req_id,
-            server=att.server, hedge_server=other,
-        )
-        offset = (
-            entry.seg.server_offset
-            if other == primary
-            else self.dist.share_of(other) + entry.seg.server_offset
+            server=att.server, hedge_server=copy[0],
         )
         self.sim.spawn(
-            self._post_attempt(entry, other, offset, is_hedge=True),
+            self._post_attempt(entry, *copy, is_hedge=True),
             name=f"{self.name}.hedge",
         )
 
     def _fail_attempt(self, att: _Attempt, cause: str) -> None:
-        """One attempt came back bad (``error``) or never came back
-        (``timeout``): fail over, retry, degrade, or give up.
+        """One attempt came back bad (``error``/``nack``) or never came
+        back (``timeout``): the failure ladder.  Retry against the same
+        server with bounded backoff, then declare it dead and re-route
+        through the redundancy group.
 
         The caller has already popped the attempt and returned its
-        credit; this either schedules exactly one replacement attempt
-        or raises.
+        credit; this either schedules exactly one replacement attempt,
+        drops a redundant write's copy, or raises.
         """
         entry = att.entry
-        seg = entry.seg
         if self.health is not None:
             self.health.record_error(self.tenant or self.name, att.server)
+        self._mark_failed_span(att, cause)
         if entry.op == READ and entry.live_rids and not entry.degraded:
-            # A tied (hedged) attempt on the other copy is still in
-            # flight — let it carry the read instead of spawning a third.
-            self._mark_failed_span(att, cause)
+            # A tied (hedged) attempt on another copy is still in
+            # flight — let it carry the read instead of spawning more.
             return
-        if self.redundancy is not None:
-            self._fail_attempt_redundant(att, cause)
-            return
-        retries_enabled = self.request_timeout_usec is not None
-        # 1. Mirror read failover (works even with retries disabled —
-        #    the original reliability extension).
-        if (
-            self.mirror
-            and entry.op == READ
-            and not entry.failed_over
-            and att.server != entry.replica_server
-            and entry.replica_server not in self._dead
-        ):
-            entry.failed_over = True
-            self._c_failovers.add()
-            self._mark_failed_span(att, cause)
-            self.sim.spawn(
-                self._post_attempt(
-                    entry,
-                    entry.replica_server,
-                    self.dist.share_of(entry.replica_server) + seg.server_offset,
-                ),
-                name=f"{self.name}.failover",
-            )
-            return
-        # 2. Bounded retry against the same server, with backoff.
-        if (
-            retries_enabled
-            and att.retries < self.max_retries
-            and att.server not in self._dead
-        ):
-            self._c_retries.add()
-            self._mark_failed_span(att, cause)
-            backoff = self.retry_backoff_usec * (
-                self.backoff_mult ** att.retries
-            )
-            self.sim.spawn(
-                self._backoff_resend(
-                    entry, att.server, att.offset, backoff, att.retries + 1
-                ),
-                name=f"{self.name}.retry",
-            )
-            return
-        # 3. Retries exhausted: declare the server dead and re-route
-        #    everything aimed at it.
-        if retries_enabled:
-            self._mark_failed_span(att, cause)
-            self._mark_dead(att.server)
+        if self.request_timeout_usec is None:
+            # No timeouts: no retries and no dead-set, so the failing
+            # server stays in service.  A write copy dropped here would
+            # hand the next read a stale page; only a read with a copy
+            # left to try carries on, anything else fails loudly.
+            entry.failed_servers.add(att.server)
+            group = self.redundancy
+            if (
+                entry.op == WRITE
+                or group is None
+                or (
+                    group.policy.kind == "nway"
+                    and self._untried_copy(entry, att.server) is None
+                )
+            ):
+                raise SimulationError(
+                    f"{self.name}: server {cause} on request "
+                    f"{entry.pending.req.req_id}"
+                )
             self._reroute(entry, att.server)
             return
-        # 4. Legacy behaviour (timeouts disabled): fail loudly.
-        raise SimulationError(
-            f"{self.name}: server {cause} on request "
-            f"{entry.pending.req.req_id}"
-        )
-
-    def _fail_attempt_redundant(self, att: _Attempt, cause: str) -> None:
-        """The redundancy-group failure ladder: bounded retry against
-        the same server first, then declare it dead (timeouts on) or
-        remember it failed (legacy) and lean on the group — drop a write
-        copy, fail a read over / degrade it."""
-        entry = att.entry
-        retries_enabled = self.request_timeout_usec is not None
-        if (
-            retries_enabled
-            and att.retries < self.max_retries
-            and att.server not in self._dead
-        ):
+        if att.retries < self.max_retries and att.server not in self._dead:
             self._c_retries.add()
-            self._mark_failed_span(att, cause)
             backoff = self.retry_backoff_usec * (
                 self.backoff_mult ** att.retries
             )
@@ -1514,15 +1399,13 @@ class HPBDClient:
                 name=f"{self.name}.retry",
             )
             return
-        self._mark_failed_span(att, cause)
-        if retries_enabled:
-            # _mark_dead reroutes every *other* doomed in-flight attempt
-            # aimed at the server; this one was already popped by the
-            # caller, so route it explicitly.
-            self._mark_dead(att.server)
-        self._redundant_reroute(entry, att.server)
+        # Retries exhausted: _mark_dead re-routes every *other* attempt
+        # aimed at the server; this one was already popped by the
+        # caller, so route it explicitly.
+        self._mark_dead(att.server)
+        self._reroute(entry, att.server)
 
-    def _drop_write_copy(self, entry: _Inflight, failed_server: int) -> None:
+    def _drop_write_copy(self, entry: _Inflight) -> None:
         """One copy of a redundant write is gone: stop expecting its
         ack.  The surviving copies (rs: parity; nway: replicas) carry
         the data; the write stays on the open-writes registry until its
@@ -1550,70 +1433,6 @@ class HPBDClient:
             self.sim.spawn(
                 self._finish_segment(entry), name=f"{self.name}.finish"
             )
-
-    def _redundant_reroute(self, entry: _Inflight, failed_server: int) -> None:
-        """Replace one failed attempt using the redundancy group."""
-        group = self.redundancy
-        pol = group.policy
-        seg = entry.seg
-        entry.failed_servers.add(failed_server)
-        if entry.op == WRITE:
-            self._drop_write_copy(entry, failed_server)
-            return
-        if pol.kind == "rs":
-            if not entry.degraded:
-                self._start_degraded(entry)
-                return
-            # One degraded fetch failed: swap in another survivor,
-            # keeping at least one parity source in the fetch set.
-            entry.degraded_servers.discard(failed_server)
-            avoid = (
-                self._dead
-                | entry.failed_servers
-                | entry.degraded_servers
-                | {seg.server}
-            )
-            has_parity = bool(entry.parity_replies) or any(
-                s in group.parity_servers for s in entry.degraded_servers
-            )
-            pick = None
-            for s in group.parity_servers + group.data_servers:
-                if s in avoid:
-                    continue
-                if has_parity or s in group.parity_servers:
-                    pick = s
-                    break
-            if pick is None:
-                raise SimulationError(
-                    f"{self.name}: segment {seg} unrecoverable — "
-                    f"{pol.label} stripe lost beyond tolerance"
-                )
-            entry.degraded_servers.add(pick)
-            self.sim.spawn(
-                self._post_attempt(entry, pick, seg.server_offset),
-                name=f"{self.name}.degraded",
-            )
-            return
-        # nway read: next alive copy in ring order not yet tried.
-        pos = group.shard_index(seg.server)
-        g = len(group.servers)
-        for j in range(pol.m + 1):
-            s = group.servers[(pos + j) % g]
-            if s in self._dead or s in entry.failed_servers:
-                continue
-            if s != seg.server:
-                self._c_failovers.add()
-                entry.failed_over = True
-            self.sim.spawn(
-                self._post_attempt(
-                    entry, s, j * group.share_bytes + seg.server_offset
-                ),
-                name=f"{self.name}.failover",
-            )
-            return
-        raise SimulationError(
-            f"{self.name}: segment {seg} lost all {pol.m + 1} copies"
-        )
 
     def _mark_failed_span(self, att: _Attempt, cause: str) -> None:
         trace = self.sim.trace
@@ -1682,58 +1501,81 @@ class HPBDClient:
             self._reroute(att.entry, server)
 
     def _reroute(self, entry: _Inflight, failed_server: int) -> None:
-        """Schedule exactly one replacement attempt for one that failed
-        against a now-dead server — or raise if nowhere is left."""
-        if self.redundancy is not None:
-            self._redundant_reroute(entry, failed_server)
-            return
+        """Replace one attempt that failed against ``failed_server``
+        through the redundancy group — drop a write's copy, fail a read
+        over to an untried copy or degrade it — or raise if nothing is
+        left.  An unprotected tenant is the degenerate group: its only
+        re-route is the local swap disk."""
+        group = self.redundancy
         seg = entry.seg
-        primary = seg.server
-        if self.mirror:
-            replica = entry.replica_server
-            target = replica if failed_server == primary else primary
-            if target in self._dead:
+        if group is None:
+            if self.degraded_mode != "disk":
                 raise SimulationError(
-                    f"{self.name}: segment {seg} lost both copies "
-                    f"(servers {primary} and {replica} dead)"
+                    f"{self.name}: server {failed_server} failed and no "
+                    f"degraded mode is configured"
                 )
-            if entry.op == WRITE:
-                self._c_write_failovers.add()
-            else:
-                self._c_failovers.add()
-                entry.failed_over = True
-            offset = (
-                seg.server_offset
-                if target == primary
-                else self.dist.share_of(target) + seg.server_offset
-            )
-            self.sim.spawn(
-                self._post_attempt(entry, target, offset),
-                name=f"{self.name}.failover",
-            )
-            return
-        if self.degraded_mode == "remap":
-            target = self._remap_target()
-            self._c_remaps.add()
-            self.sim.spawn(
-                self._post_attempt(
-                    entry,
-                    target,
-                    self.dist.share_of(target) + seg.server_offset,
-                ),
-                name=f"{self.name}.remap",
-            )
-            return
-        if self.degraded_mode == "disk":
             self._c_disk_fallbacks.add()
             self.sim.spawn(
                 self._fallback_io(entry), name=f"{self.name}.fallback"
             )
             return
-        raise SimulationError(
-            f"{self.name}: server {failed_server} failed and no degraded "
-            f"mode is configured"
-        )
+        pol = group.policy
+        entry.failed_servers.add(failed_server)
+        if entry.op == WRITE:
+            self._drop_write_copy(entry)
+            return
+        if pol.kind == "nway":
+            copy = self._untried_copy(entry, failed_server)
+            if copy is None:
+                raise SimulationError(
+                    f"{self.name}: segment {seg} lost all {pol.m + 1} copies"
+                )
+            if copy[0] != seg.server:
+                self._c_failovers.add()
+            self.sim.spawn(
+                self._post_attempt(entry, *copy),
+                name=f"{self.name}.failover",
+            )
+            return
+        if not entry.degraded:
+            # A plain rs read failed against its data shard: restart
+            # the entry as a degraded fan-out.
+            targets = self._degraded_target_list(entry)
+            entry.acked = 0
+            entry.copies_left = len(targets)
+            entry.need_acks = len(targets)
+        else:
+            # One degraded fetch failed: swap in another survivor,
+            # keeping at least one parity source in the fetch set.
+            entry.degraded_servers.discard(failed_server)
+            avoid = (
+                self._dead
+                | entry.failed_servers
+                | entry.degraded_servers
+                | {seg.server}
+            )
+            has_parity = bool(entry.parity_replies) or any(
+                s in group.parity_servers for s in entry.degraded_servers
+            )
+            pick = None
+            for s in group.parity_servers + group.data_servers:
+                if s in avoid:
+                    continue
+                if has_parity or s in group.parity_servers:
+                    pick = s
+                    break
+            if pick is None:
+                raise SimulationError(
+                    f"{self.name}: segment {seg} unrecoverable — "
+                    f"{pol.label} stripe lost beyond tolerance"
+                )
+            entry.degraded_servers.add(pick)
+            targets = [(pick, seg.server_offset)]
+        for s, off in targets:
+            self.sim.spawn(
+                self._post_attempt(entry, s, off),
+                name=f"{self.name}.degraded",
+            )
 
     def _fallback_io(self, entry: _Inflight):
         """Serve one segment from the local swap disk instead; generator.

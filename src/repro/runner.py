@@ -100,13 +100,10 @@ class _Scenario:
             store = dev.server_store_bytes
             if store is None:
                 # An equal share of the swap area, rounded up to MiB
-                # (doubled when mirroring — share + a replica area — or
-                # when remap mode may land a dead peer's chunk here).
+                # (doubled when mirroring: share + a replica area).
                 share = -(-cfg.swap_bytes // dev.nservers)
                 store = -(-share // MiB) * MiB
-                if dev.mirror or (
-                    faults is not None and faults.degraded_mode == "remap"
-                ):
+                if dev.mirror:
                     store *= 2
             for i in range(dev.nservers):
                 self.hpbd_servers.append(

@@ -358,11 +358,11 @@ class TestBenchCommand:
 
 
 class TestFaultsCommand:
-    def test_faults_remap_smoke(self, capsys, tmp_path):
+    def test_faults_mirror_smoke(self, capsys, tmp_path):
         trace = tmp_path / "fault-trace.json"
         report = tmp_path / "faults.json"
         assert main([
-            "faults", "--mode", "remap", "--scale", "64",
+            "faults", "--mode", "mirror", "--scale", "64",
             "--expect-recovery",
             "-o", str(trace), "--json", str(report),
         ]) == 0
@@ -370,7 +370,7 @@ class TestFaultsCommand:
         assert "invariant monitors: clean" in out
         assert trace.exists()
         payload = json.loads(report.read_text())
-        assert payload["counters"]["remaps"] > 0
+        assert payload["counters"]["write_failovers"] > 0
         assert payload["counters"]["timeouts"] > 0
         assert payload["violations"] == []
         assert payload["blame_usec"]["fault"] > 0

@@ -1,9 +1,10 @@
 """Tests for the limping-server machinery: ``ServerSlow`` injection,
 EWMA replica selection, hedged mirror reads, and quarantine.
 
-Unit coverage drives a two-server mirrored driver directly (steering,
-hedging, credit accounting, the watchdog's re-aim fix) and the fleet
-registry's quarantine verdicts with synthetic health feeds.  The
+Unit coverage drives a two-server mirrored driver and a three-copy
+nway ring directly (steering, hedging, semi-sync writes, credit
+accounting, the watchdog's re-aim fix) and the fleet registry's
+quarantine verdicts with synthetic health feeds.  The
 acceptance scenario is the ISSUE gate: the seeded three-tenant mirrored
 cluster with one fail-slow server costs < 2x the healthy worst tenant
 p99 under mitigation, while the unmitigated run breaches that cliff —
@@ -24,6 +25,7 @@ from repro.hpbd.client import _Attempt
 from repro.kernel import Node
 from repro.kernel.blockdev import Bio, READ, WRITE
 from repro.obs.health import HealthConfig, HealthHub
+from repro.redundancy.policy import ShardGroup, parse_policy
 from repro.simulator import Event
 from repro.units import MiB
 
@@ -244,6 +246,130 @@ class TestCountermeasures:
 
         sim.run(until=sim.spawn(proc(sim)))
         assert expired == [(1, pytest.approx(posted["short"] + 200.0))]
+
+
+# -- driver countermeasures (three-copy ring) ---------------------------
+
+
+def _ring3(sim, fabric, health=None, **kw):
+    """An nway(3) client over three 48 MiB servers (16 MiB share each:
+    copy j of server i's chunk on server i+j at store offset j * 16 MiB)."""
+    node = Node(sim, fabric, "client", mem_bytes=16 * MiB)
+    servers = [
+        HPBDServer(sim, fabric, f"mem{i}", store_bytes=48 * MiB,
+                   stats=node.stats)
+        for i in range(3)
+    ]
+    group = ShardGroup(
+        policy=parse_policy("nway(3)"), servers=[0, 1, 2],
+        share_bytes=16 * MiB,
+    )
+    client = HPBDClient(
+        sim, node, servers, total_bytes=48 * MiB, redundancy=group,
+        health=health, **kw,
+    )
+    sim.run(until=sim.spawn(client.connect()))
+    return servers, client
+
+
+class _SlowSet:
+    """Health stub: the fail-slow verdict is whatever the test says."""
+
+    def __init__(self, slow):
+        self.slow = set(slow)
+
+    def server_is_slow(self, server):
+        return server in self.slow
+
+    def record_server_rtt(self, server, rtt):
+        pass
+
+    def record_request(self, tenant, latency):
+        pass
+
+    def record_error(self, tenant, server):
+        pass
+
+
+class TestRingCountermeasures:
+    def test_reads_steer_to_fastest_alive_copy(self, sim, fabric):
+        servers, client = _ring3(sim, fabric, ewma_select=True)
+        for i in range(12):
+            do_io(sim, client, WRITE, sector=i * 8, nsectors=8)
+        # sector 0's first copy limps badly, its second a little
+        servers[0].slow(service_mult=8.0, extra_usec=500.0)
+        servers[1].slow(service_mult=4.0, extra_usec=200.0)
+        for i in range(12):  # the writes feed every copy's estimator
+            do_io(sim, client, WRITE, sector=i * 8, nsectors=8)
+        for _ in range(20):
+            do_io(sim, client, READ, sector=0, nsectors=8)
+        steered = counter(client, "steered_reads")
+        assert steered > 0
+        # every steered read went to the third (fastest) copy
+        assert servers[1].ramdisk.bytes_read == 0
+        assert servers[2].ramdisk.bytes_read == steered * 4096
+
+    def test_hedge_fires_at_alive_untried_copy(self, sim, fabric):
+        servers, client = _ring3(sim, fabric, hedge_reads=True)
+        for i in range(8):
+            do_io(sim, client, WRITE, sector=i * 8, nsectors=8)
+        for _ in range(6):
+            do_io(sim, client, READ, sector=0, nsectors=8)
+        client.notify_server_down(1)  # the second copy is gone
+        servers[0].slow(service_mult=1.0, extra_usec=20_000.0)
+        t0 = sim.now
+        t = do_io(sim, client, READ, sector=0, nsectors=8)
+        assert t - t0 < 20_000.0
+        assert counter(client, "hedges") == 1
+        assert counter(client, "hedge_wins") == 1
+        # the tie skipped the attempt's own copy and the dead one
+        assert servers[1].ramdisk.bytes_read == 0
+        assert servers[2].ramdisk.bytes_read == 4096
+
+        def settle(sim):
+            yield sim.timeout(50_000.0)
+            yield from client.drain()
+
+        sim.run(until=sim.spawn(settle(sim)))
+        client.audit_teardown()
+        assert sim.monitors.summary() == []
+
+    def test_quarantined_copy_does_not_gate_writes(self, sim, fabric):
+        servers, client = _ring3(
+            sim, fabric, health=_SlowSet({2}), ewma_select=True
+        )
+        servers[1].slow(service_mult=1.0, extra_usec=2_000.0)
+        servers[2].slow(service_mult=1.0, extra_usec=20_000.0)
+        t0 = sim.now
+        t = do_io(sim, client, WRITE, sector=0, nsectors=8)
+        # completes on the two healthy copies' acks: after the slower
+        # of them, long before the quarantined straggler
+        assert 2_000.0 < t - t0 < 20_000.0
+        assert counter(client, "semisync_writes") == 1
+        assert counter(client, "quarantines") == 1
+
+        def settle(sim):
+            yield sim.timeout(50_000.0)
+            yield from client.drain()
+
+        sim.run(until=sim.spawn(settle(sim)))
+        assert servers[2].ramdisk.pages_stored == 1  # it still landed
+        client.audit_teardown()
+        assert sim.monitors.summary() == []
+
+    def test_rs_group_rejects_countermeasures(self, sim, fabric):
+        node = Node(sim, fabric, "c", mem_bytes=16 * MiB)
+        servers = [
+            HPBDServer(sim, fabric, f"m{i}", store_bytes=16 * MiB)
+            for i in range(3)
+        ]
+        group = ShardGroup(
+            policy=parse_policy("rs(2,1)"), servers=[0, 1, 2],
+            share_bytes=8 * MiB,
+        )
+        with pytest.raises(ValueError, match="mirror"):
+            HPBDClient(sim, node, servers, total_bytes=16 * MiB,
+                       redundancy=group, ewma_select=True)
 
 
 # -- quarantine (health hub -> registry -> placement) --------------------

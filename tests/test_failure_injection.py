@@ -216,7 +216,7 @@ _SCALE = 64
 
 _RECOVERY_KEYS = (
     "retries", "timeouts", "failovers", "write_failovers",
-    "remaps", "disk_fallbacks", "stale_replies", "servers_dead",
+    "disk_fallbacks", "stale_replies", "servers_dead",
 )
 
 
@@ -242,19 +242,20 @@ def _counts(result) -> dict[str, int]:
 class TestInjectedServerCrash:
     def test_crash_completes_with_remap(self):
         """A memory server dying mid-run must not abort the workload:
-        its chunk remaps onto the survivor and the monitors stay clean."""
+        its segments remap 1:1 onto the local swap disk and the
+        monitors stay clean."""
         cfg = _fault_scenario(
             HPBD(nservers=4),
             FaultConfig(
                 plan=FaultPlan(events=(ServerCrash(at=60_000.0, server=1),)),
-                degraded_mode="remap",
+                degraded_mode="disk",
             ),
         )
         result = run_scenario(cfg, trace=True)
         ctrs = _counts(result)
         assert result.invariant_violations == []
         assert ctrs["timeouts"] > 0
-        assert ctrs["remaps"] > 0
+        assert ctrs["disk_fallbacks"] > 0
         assert ctrs["servers_dead"] == 1
         # Fault recovery shows up in the blame taxonomy, not "other".
         assert result.blame_usec["fault"] > 0
@@ -271,7 +272,10 @@ class TestInjectedServerCrash:
         ctrs = _counts(result)
         assert result.invariant_violations == []
         assert ctrs["disk_fallbacks"] > 0
-        assert ctrs["remaps"] == 0
+        # An unprotected tenant is the degenerate group: no ring copy
+        # to fail over to, so the ladder's reroute is the disk alone.
+        assert ctrs["failovers"] == 0
+        assert ctrs["write_failovers"] == 0
 
     def test_crash_absorbed_by_mirror(self):
         cfg = _fault_scenario(
@@ -293,7 +297,7 @@ class TestInjectedServerCrash:
                     plan=FaultPlan(
                         events=(ServerCrash(at=60_000.0, server=1),)
                     ),
-                    degraded_mode="remap",
+                    degraded_mode="disk",
                 ),
             )
             result = run_scenario(cfg, trace=True)

@@ -46,7 +46,7 @@ POINTS = {
     "campaign": "campaign/fair-2s",
     "cluster": "cluster/c3s2/blocking",
     "failslow": "failslow/mitigated",
-    "faults": "faults/crash-remap",
+    "faults": "faults/crash-disk",
     "fig05": "fig05/nbd-gige",
     "fig06": "fig06/hpbd",
     "fig07": "fig07/hpbd",

@@ -20,14 +20,17 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import run_cluster_scenario
+from repro.cluster.runner import build_cluster_scenario
 from repro.cluster.migration import ChunkMigrator
 from repro.cluster.registry import FleetRegistry
 from repro.config import ClusterScenarioConfig, FaultConfig, TenantSpec
 from repro.experiments import cluster_redundancy_config, redundancy_points
-from repro.faults import FaultPlan, ServerCrash
+from repro.faults import FaultPlan, ServerCrash, ServerSlow
 from repro.hpbd import HPBDClient, HPBDServer
 from repro.kernel import Node
 from repro.kernel.blockdev import Bio, READ, WRITE
@@ -38,7 +41,7 @@ from repro.redundancy.policy import (
     ShardGroup,
     parse_policy,
 )
-from repro.simulator import Event, Simulator
+from repro.simulator import Event, SimulationError, Simulator
 from repro.units import MiB, PAGE_SIZE
 from repro.workloads import QuicksortWorkload
 
@@ -368,7 +371,7 @@ def test_config_rejects_degraded_mode():
     with pytest.raises(ValueError, match="degraded"):
         ClusterScenarioConfig(
             tenants=[_tenant()], nservers=4,
-            faults=FaultConfig(degraded_mode="remap"),
+            faults=FaultConfig(degraded_mode="disk"),
             mem_reserved_bytes=MiB,
         )
 
@@ -401,4 +404,78 @@ def test_crash_needs_fault_plan_inside_tolerance():
         faults=FaultConfig(plan=plan),
         mem_reserved_bytes=MiB,
     )
-    assert cfg.repair is True  # repair defaults on for redundant tenants
+    # a crash in the plan starts background repair for the tenant
+    assert build_cluster_scenario(cfg).repair is not None
+
+
+@pytest.mark.parametrize("faults", [
+    None,
+    FaultConfig(),
+    FaultConfig(plan=FaultPlan(events=(
+        ServerSlow(at=1000.0, server=0, duration=5000.0, service_mult=4.0),
+    ))),
+])
+def test_repair_starts_only_with_a_crash(faults):
+    # only a ServerCrash flips a server's liveness, so a repair manager
+    # over any other plan could never act
+    cfg = ClusterScenarioConfig(
+        tenants=[_tenant()], nservers=4, faults=faults,
+        mem_reserved_bytes=MiB,
+    )
+    assert build_cluster_scenario(cfg).repair is None
+
+
+def test_mirror_flag_is_nway2_per_tenant():
+    cfg = ClusterScenarioConfig(
+        tenants=[_tenant("none")], nservers=4, mirror=True,
+        mem_reserved_bytes=MiB,
+    )
+    assert [t.redundancy for t in cfg.tenants] == ["nway(2)"]
+    # re-validating the aliased config (dataclasses.replace) is fine
+    assert replace(cfg, seed=7).tenants == cfg.tenants
+    scenario = build_cluster_scenario(cfg)
+    (tenant,) = scenario.tenants
+    assert tenant.admission.policy == "nway(2)"
+    assert tenant.client.redundancy.policy.label == "nway(2)"
+    assert scenario.repair is None
+
+
+# -- one failure ladder: no dead-set without timeouts ----------------------
+
+
+@pytest.mark.parametrize("policy, nservers", [("nway(2)", 2), ("rs(2,1)", 3)])
+def test_failed_write_copy_raises_without_timeouts(policy, nservers):
+    """With timeouts off there is no dead-set: a member whose copy of a
+    write failed would stay in service and serve the next read of that
+    page stale.  The write must fail loudly instead of completing on
+    the surviving copies (content tokens name a location, not a
+    version, so the stale read itself would look correct)."""
+    sim = Simulator()
+    fabric = Fabric(sim)
+    node = Node(sim, fabric, "client", mem_bytes=16 * MiB)
+    servers = [
+        HPBDServer(sim, fabric, f"mem{i}", store_bytes=16 * MiB,
+                   stats=node.stats)
+        for i in range(nservers)
+    ]
+    group = ShardGroup(
+        policy=parse_policy(policy), servers=list(range(nservers)),
+        share_bytes=8 * MiB,
+    )
+    client = HPBDClient(
+        sim, node, servers, total_bytes=16 * MiB, redundancy=group,
+    )
+    sim.run(until=sim.spawn(client.connect()))
+    servers[0].ramdisk.size = 0  # mem0 errors on its copy of the write
+    done = Event(sim)
+
+    def proc(sim):
+        client.queue.submit_bio(
+            Bio(op=WRITE, sector=0, nsectors=8, done=done)
+        )
+        client.queue.unplug()
+        yield done
+
+    sim.spawn(proc(sim))
+    with pytest.raises(SimulationError, match="server error"):
+        sim.run(until=50_000.0)
