@@ -11,7 +11,7 @@ Run:  python examples/cooperative_memory.py
 """
 
 from repro import QuicksortWorkload, ScenarioConfig
-from repro.hpbd import HPBDClient, HPBDServer, MemoryBroker, WeightedDistribution
+from repro.hpbd import HPBDClient, HPBDServer, MemoryBroker, lender_chunk_map
 from repro.kernel import Node
 from repro.net import Fabric
 from repro.simulator import Simulator
@@ -41,7 +41,7 @@ def main() -> None:
         HPBDServer(sim, fabric, name, store_bytes=share)
         for name, share in chosen
     ]
-    dist = WeightedDistribution([share for _n, share in chosen])
+    dist = lender_chunk_map([share for _n, share in chosen])
     client_node = Node(sim, fabric, "client", mem_bytes=32 * MiB)
     client = HPBDClient(
         sim, client_node, servers, total_bytes=want, distribution=dist

@@ -19,6 +19,7 @@ import dataclasses
 import json
 import sys
 from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING
 
 from . import experiments
 from .analysis import (
@@ -30,6 +31,9 @@ from .analysis import (
 )
 from .results import ScenarioResult
 from .units import KiB
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .config import ClusterScenarioConfig, ScenarioConfig
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -176,6 +180,31 @@ _TRACE_DEVICES = ("hpbd", "nbd-ipoib", "nbd-gige", "disk")
 _TRACE_WORKLOADS = ("quicksort", "testswap")
 
 
+def _workload(args):
+    """A fresh ``--workload`` instance sized by ``--scale``."""
+    from .units import GiB
+    from .workloads import QuicksortWorkload, TestswapWorkload
+
+    if args.workload == "quicksort":
+        return QuicksortWorkload(nelems=256 * 1024 * 1024 // args.scale)
+    return TestswapWorkload(size_bytes=GiB // args.scale)
+
+
+def _device_scenario(args):
+    """``trace`` / ``critpath``: ``--workload`` swapping over ``--device``."""
+    from .config import HPBD, LocalDisk, NBD
+    from .experiments import _scenario
+    from .units import GiB, MiB
+
+    device = {
+        "hpbd": HPBD(),
+        "nbd-ipoib": NBD("ipoib"),
+        "nbd-gige": NBD("gige"),
+        "disk": LocalDisk(),
+    }[args.device]
+    return _scenario([_workload(args)], device, args.scale, 512 * MiB, GiB)
+
+
 def _run_trace(args) -> int:
     """``repro trace``: one traced run + baseline, breakdown, exports."""
     from .analysis.breakdown import (
@@ -184,33 +213,17 @@ def _run_trace(args) -> int:
         measured_network_fraction,
         wire_crosscheck,
     )
-    from .config import HPBD, LocalDisk, LocalMemory, NBD
+    from .config import LocalMemory
     from .experiments import _scenario
     from .net.fabrics import IB_DEFAULT
     from .obs import spans_to_csv, write_chrome_trace
     from .runner import run_scenario
-    from .units import GiB, MiB
-    from .workloads import QuicksortWorkload, TestswapWorkload
+    from .units import GiB
 
-    device = {
-        "hpbd": HPBD(),
-        "nbd-ipoib": NBD("ipoib"),
-        "nbd-gige": NBD("gige"),
-        "disk": LocalDisk(),
-    }[args.device]
-    scale = args.scale
-
-    def workload():
-        if args.workload == "quicksort":
-            return QuicksortWorkload(nelems=256 * 1024 * 1024 // scale)
-        return TestswapWorkload(size_bytes=GiB // scale)
-
-    print(f"tracing {args.workload} over {args.device} (scale=1/{scale})...")
-    result = run_scenario(
-        _scenario([workload()], device, scale, 512 * MiB, GiB), trace=True
-    )
+    print(f"tracing {args.workload} over {args.device} (scale=1/{args.scale})...")
+    result = run_scenario(_device_scenario(args), trace=True)
     base = run_scenario(
-        _scenario([workload()], LocalMemory(), scale, 2 * GiB, GiB)
+        _scenario([_workload(args)], LocalMemory(), args.scale, 2 * GiB, GiB)
     )
     rows = measured_breakdown(result, base)
     print(f"{result.summary()}   ({len(result.trace)} trace events)")
@@ -238,91 +251,138 @@ def _run_trace(args) -> int:
     return 0
 
 
-def _run_critpath(args) -> int:
-    """``repro critpath``: per-request blame + invariant audit.
+# -- scenario gates -----------------------------------------------------------
 
-    Exit status is nonzero when the trace has orphan request-path spans
-    or any invariant monitor recorded a violation — CI runs this as the
-    traced smoke job.
+
+@dataclasses.dataclass(frozen=True)
+class _Run:
+    """One simulation a gate needs.  ``spans``: the gate reads the run's
+    trace, so the run is traced."""
+
+    name: str
+    config: ScenarioConfig | ClusterScenarioConfig
+    spans: bool = False
+
+
+@dataclasses.dataclass(frozen=True)
+class _Gate:
+    """One scenario command, as :func:`_drive` runs it.
+
+    ``runs`` are simulated in order; the last is the headline run, the
+    one ``-o`` traces and writes.  ``check`` turns the results (keyed by
+    run name) into the ``--json`` payload and the failed predicates;
+    ``show`` prints the report from the results, that payload and those
+    failures.
     """
+
+    intro: str
+    runs: tuple[_Run, ...]
+    check: Callable[[dict], tuple[dict, list[str]]]
+    show: Callable[[dict, dict, list[str]], None]
+
+
+def _judge(gate: _Gate, output: str | None):
+    """Simulate a gate's runs; return the results by name, the payload
+    (plus every run's invariant violations, in run order) and the
+    failed predicates."""
+    from .runner import run_scenario
+
+    results = {
+        run.name: run_scenario(
+            run.config,
+            trace=run.spans or (bool(output) and run is gate.runs[-1]),
+        )
+        for run in gate.runs
+    }
+    payload, failures = gate.check(results)
+    payload["violations"] = [
+        v for result in results.values() for v in result.invariant_violations
+    ]
+    return results, payload, failures
+
+
+def _drive(build: Callable[[argparse.Namespace], _Gate], args) -> int:
+    """Run one scenario command: build its gate, simulate, report.
+
+    Exit status 0 when everything passes; 1 on an invariant violation, a
+    failed predicate or a replay divergence; 2 when the arguments give
+    no valid config (``build`` raised ``ValueError``).  ``--replay-check``
+    builds and simulates every run again and compares the whole payload
+    but ``status``; ``--json`` writes the payload plus ``status``.
+    """
+    from .obs import write_chrome_trace
+
+    try:
+        gate = build(args)
+    except ValueError as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return 2
+    output = getattr(args, "output", None)
+    print(gate.intro)
+    results, payload, failures = _judge(gate, output)
+    gate.show(results, payload, failures)
+    violations = payload["violations"]
+    if violations:
+        failures.insert(0, f"{len(violations)} invariant violations:" + "".join(
+            f"\n  t={v['t_usec']:.1f} {v['monitor']} "
+            f"[{v['component']}]: {v['message']}"
+            for v in violations[:20]
+        ))
+    else:
+        print("invariant monitors: clean (0 violations)")
+    if getattr(args, "replay_check", False):
+        _, again, _ = _judge(build(args), output)
+        diverged = sorted(
+            key for key in payload.keys() | again.keys()
+            if json.dumps(payload.get(key), sort_keys=True)
+            != json.dumps(again.get(key), sort_keys=True)
+        )
+        if diverged:
+            failures.append(
+                f"replay diverged for the same seed ({', '.join(diverged)})"
+            )
+        else:
+            print("replay check: second run identical (whole payload)")
+    for failure in failures:
+        print(f"ERROR: {failure}", file=sys.stderr)
+    status = 1 if failures else 0
+    if output:
+        write_chrome_trace(results[gate.runs[-1].name].trace, output)
+        print(f"wrote {output}  (load in Perfetto / chrome://tracing)")
+    if args.json:
+        write_json_report(args.json, {**payload, "status": status})
+        print(f"wrote {args.json}")
+    return status
+
+
+def _counter(registry, name: str) -> int:
+    c = registry.get(name)
+    return int(c.total) if c is not None else 0
+
+
+def _critpath_gate(args) -> _Gate:
+    """``repro critpath``: per-request blame; fails on orphan
+    request-path spans (no ``req_id``)."""
     from .analysis.critpath import (
-        aggregate_blame,
         blame_split,
         format_critpath,
         orphan_spans,
         request_paths,
         slowest,
     )
-    from .config import HPBD, LocalDisk, NBD
-    from .experiments import _scenario
-    from .obs import write_chrome_trace
-    from .runner import run_scenario
-    from .units import GiB, MiB
-    from .workloads import QuicksortWorkload, TestswapWorkload
 
-    device = {
-        "hpbd": HPBD(),
-        "nbd-ipoib": NBD("ipoib"),
-        "nbd-gige": NBD("gige"),
-        "disk": LocalDisk(),
-    }[args.device]
-    scale = args.scale
-    if args.workload == "quicksort":
-        workload = QuicksortWorkload(nelems=256 * 1024 * 1024 // scale)
-    else:
-        workload = TestswapWorkload(size_bytes=GiB // scale)
-
-    print(
-        f"critical-path analysis: {args.workload} over {args.device} "
-        f"(scale=1/{scale})..."
-    )
-    result = run_scenario(
-        _scenario([workload], device, scale, 512 * MiB, GiB), trace=True
-    )
-    paths = request_paths(result.trace)
-    orphans = orphan_spans(result.trace)
-    violations = result.invariant_violations
-    print(format_critpath(paths, top=args.top))
-    if result.monitor_watermarks:
-        print("watermarks:")
-        for key in sorted(result.monitor_watermarks):
-            print(f"  {key} = {result.monitor_watermarks[key]:g}")
-    status = 0
-    if orphans:
-        cats = sorted({s.cat for s in orphans})
-        print(
-            f"ERROR: {len(orphans)} request-path spans without req_id "
-            f"(cats: {', '.join(cats)})",
-            file=sys.stderr,
-        )
-        status = 1
-    if violations:
-        print(
-            f"ERROR: {len(violations)} invariant violations:", file=sys.stderr
-        )
-        for v in violations[:20]:
-            print(
-                f"  t={v['t_usec']:.1f} {v['monitor']} "
-                f"[{v['component']}]: {v['message']}",
-                file=sys.stderr,
-            )
-        status = 1
-    if not orphans and not violations:
-        print("invariant monitors: clean (0 violations, 0 orphan spans)")
-    if args.output:
-        write_chrome_trace(result.trace, args.output)
-        print(f"wrote {args.output}  (load in Perfetto / chrome://tracing)")
-    if args.json:
-        agg = aggregate_blame(paths)
+    def check(results):
+        result = results["run"]
+        paths = request_paths(result.trace)
+        orphans = orphan_spans(result.trace)
         payload = {
             "device": args.device,
             "workload": args.workload,
-            "scale": scale,
+            "scale": args.scale,
             "requests": len(paths),
-            "blame_usec": agg,
-            **blame_split(agg),
+            "blame_usec": result.blame_usec,
+            **blame_split(result.blame_usec),
             "orphan_spans": len(orphans),
-            "violations": violations,
             "watermarks": result.monitor_watermarks,
             "slowest": [
                 {
@@ -336,9 +396,29 @@ def _run_critpath(args) -> int:
                 for p in slowest(paths, args.top)
             ],
         }
-        write_json_report(args.json, payload)
-        print(f"wrote {args.json}")
-    return status
+        failures = []
+        if orphans:
+            cats = sorted({s.cat for s in orphans})
+            failures.append(
+                f"{len(orphans)} request-path spans without req_id "
+                f"(cats: {', '.join(cats)})"
+            )
+        return payload, failures
+
+    def show(results, payload, failures):
+        print(format_critpath(request_paths(results["run"].trace), top=args.top))
+        if payload["watermarks"]:
+            print("watermarks:")
+            for key, value in sorted(payload["watermarks"].items()):
+                print(f"  {key} = {value:g}")
+
+    return _Gate(
+        f"critical-path analysis: {args.workload} over {args.device} "
+        f"(scale=1/{args.scale})...",
+        (_Run("run", _device_scenario(args), spans=True),),
+        check,
+        show,
+    )
 
 
 _FAULT_MODES = ("mirror", "disk")
@@ -351,149 +431,94 @@ _RECOVERY_COUNTERS = (
 )
 
 
-def _run_faults(args) -> int:
+def _faults_gate(args) -> _Gate:
     """``repro faults``: crash a memory server mid-run, audit recovery.
 
-    Runs one traced testswap scenario with a scheduled ``ServerCrash``
-    and the recovery machinery for the chosen mode, then reports the
-    recovery counters, the fault/retry blame shares, and the invariant
-    monitors.  Exit status is nonzero on any invariant violation, or —
-    under ``--expect-recovery`` — when the run recovered without
-    actually exercising the machinery (no failover/fallback or no
-    timeout), or — under ``--replay-check`` — when a second run of the
-    same seed diverges.
+    One traced testswap run with a scheduled ``ServerCrash`` and the
+    recovery machinery of ``--mode``; reports the recovery counters and
+    the fault/retry blame shares.  ``--expect-recovery`` fails a run
+    that never timed out or never failed over / fell back.
     """
-    from .analysis.critpath import aggregate_blame, blame_split, request_paths
+    from .analysis.critpath import blame_split
     from .config import FaultConfig, HPBD
     from .experiments import _scenario
     from .faults import FaultPlan, ServerCrash
-    from .obs import write_chrome_trace
-    from .runner import run_scenario
     from .units import GiB, MiB
     from .workloads import TestswapWorkload
 
     scale = args.scale
-    if args.crash_at is None:
-        # Mid-run for a testswap at this scale (~8.4e6/scale us total),
-        # so the crash lands inside active swap traffic.
-        args.crash_at = 4_200_000.0 / scale
+    mirror = args.mode == "mirror"
+    # Mid-run for a testswap at this scale (~8.4e6/scale us total), so
+    # the crash lands inside active swap traffic.
+    crash_at = 4_200_000.0 / scale if args.crash_at is None else args.crash_at
+    cfg = _scenario(
+        [TestswapWorkload(size_bytes=GiB // scale)],
+        HPBD(nservers=2, mirror=True) if mirror else HPBD(nservers=4),
+        scale, 512 * MiB, GiB,
+    )
+    cfg.faults = FaultConfig(
+        plan=FaultPlan(
+            events=(ServerCrash(at=crash_at, server=0 if mirror else 1),),
+            seed=args.seed,
+        ),
+        request_timeout_usec=args.timeout,
+        degraded_mode="none" if mirror else "disk",
+    )
+    cfg.seed = args.seed
 
-    def run_once() -> ScenarioResult:
-        if args.mode == "mirror":
-            device = HPBD(nservers=2, mirror=True)
-            crash = ServerCrash(at=args.crash_at, server=0)
-            fcfg = FaultConfig(
-                plan=FaultPlan(events=(crash,), seed=args.seed),
-                request_timeout_usec=args.timeout,
-            )
-        else:
-            device = HPBD(nservers=4)
-            crash = ServerCrash(at=args.crash_at, server=1)
-            fcfg = FaultConfig(
-                plan=FaultPlan(events=(crash,), seed=args.seed),
-                request_timeout_usec=args.timeout,
-                degraded_mode=args.mode,
-            )
-        cfg = _scenario(
-            [TestswapWorkload(size_bytes=GiB // scale)],
-            device, scale, 512 * MiB, GiB,
-        )
-        cfg.faults = fcfg
-        cfg.seed = args.seed
-        return run_scenario(cfg, trace=True)
-
-    def recovery_counters(result: ScenarioResult) -> dict[str, int]:
-        out = {}
-        for key in _RECOVERY_COUNTERS:
-            c = result.registry.get(f"hpbd0.{key}")
-            out[key] = int(c.total) if c is not None else 0
+    def check(results):
+        result = results["run"]
+        ctrs = {
+            key: _counter(result.registry, f"hpbd0.{key}")
+            for key in _RECOVERY_COUNTERS
+        }
         for name in sorted(result.registry.names()):
             if name.startswith("fault."):
-                out[name] = int(result.registry.get(name).total)
-        return out
-
-    print(
-        f"fault run: testswap over hpbd, mode={args.mode}, crash at "
-        f"t={args.crash_at:g} us (scale=1/{scale}, seed={args.seed})..."
-    )
-    result = run_once()
-    ctrs = recovery_counters(result)
-    paths = request_paths(result.trace)
-    agg = aggregate_blame(paths)
-    violations = result.invariant_violations
-    print(result.summary())
-    print()
-    print("recovery / fault counters:")
-    for key, value in ctrs.items():
-        if value:
-            print(f"  {key:<24s} {value}")
-    total = sum(agg.values())
-    if total > 0:
-        print("blame shares:")
-        for label in ("fault", "retry"):
-            print(f"  {label:<8s} {agg.get(label, 0.0) / total:6.2%}")
-    status = 0
-    if violations:
-        print(
-            f"ERROR: {len(violations)} invariant violations:", file=sys.stderr
-        )
-        for v in violations[:20]:
-            print(
-                f"  t={v['t_usec']:.1f} {v['monitor']} "
-                f"[{v['component']}]: {v['message']}",
-                file=sys.stderr,
-            )
-        status = 1
-    else:
-        print("invariant monitors: clean (0 violations)")
-    if args.expect_recovery:
-        recovered = (
-            ctrs["failovers"] + ctrs["write_failovers"]
-            + ctrs["disk_fallbacks"]
-        )
-        detected = ctrs["retries"] + ctrs["timeouts"]
-        if recovered == 0 or detected == 0:
-            print(
-                f"ERROR: expected recovery activity, got {detected} "
-                f"timeouts/retries and {recovered} "
-                f"failovers/fallbacks",
-                file=sys.stderr,
-            )
-            status = 1
-    if args.replay_check:
-        second = run_once()
-        ctrs2 = recovery_counters(second)
-        agg2 = aggregate_blame(request_paths(second.trace))
-        if ctrs2 != ctrs or agg2 != agg:
-            print(
-                "ERROR: replay diverged for the same seed "
-                f"(counters equal: {ctrs2 == ctrs}, "
-                f"blame equal: {agg2 == agg})",
-                file=sys.stderr,
-            )
-            status = 1
-        else:
-            print("replay check: second run identical (counters + blame)")
-    if args.output:
-        write_chrome_trace(result.trace, args.output)
-        print(f"wrote {args.output}  (load in Perfetto / chrome://tracing)")
-    if args.json:
+                ctrs[name] = _counter(result.registry, name)
         payload = {
             "mode": args.mode,
             "scale": scale,
             "seed": args.seed,
-            "crash_at_usec": args.crash_at,
+            "crash_at_usec": crash_at,
             "timeout_usec": args.timeout,
             "elapsed_usec": result.elapsed_usec,
             "counters": ctrs,
-            "blame_usec": agg,
-            **blame_split(agg),
-            "violations": violations,
+            "blame_usec": result.blame_usec,
+            **blame_split(result.blame_usec),
         }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"wrote {args.json}")
-    return status
+        failures = []
+        recovered = (
+            ctrs["failovers"] + ctrs["write_failovers"] + ctrs["disk_fallbacks"]
+        )
+        detected = ctrs["retries"] + ctrs["timeouts"]
+        if args.expect_recovery and (recovered == 0 or detected == 0):
+            failures.append(
+                f"expected recovery activity, got {detected} "
+                f"timeouts/retries and {recovered} failovers/fallbacks"
+            )
+        return payload, failures
+
+    def show(results, payload, failures):
+        print(results["run"].summary())
+        print()
+        print("recovery / fault counters:")
+        for key, value in payload["counters"].items():
+            if value:
+                print(f"  {key:<24s} {value}")
+        blame = payload["blame_usec"]
+        total = sum(blame.values())
+        if total > 0:
+            print("blame shares:")
+            for label in ("fault", "retry"):
+                print(f"  {label:<8s} {blame.get(label, 0.0) / total:6.2%}")
+
+    return _Gate(
+        f"fault run: testswap over hpbd, mode={args.mode}, crash at "
+        f"t={crash_at:g} us (scale=1/{scale}, seed={args.seed})...",
+        (_Run("run", cfg, spans=True),),
+        check,
+        show,
+    )
 
 
 def _redundancy_default_crashes(pol, ncrashes: int):
@@ -510,100 +535,59 @@ def _redundancy_default_crashes(pol, ncrashes: int):
     return picks[:ncrashes]
 
 
-def _run_redundancy(args) -> int:
+def _redundancy_gate(args) -> _Gate:
     """``repro redundancy``: crash erasure-coded members mid-run, audit
     degraded reads and background repair.
 
-    Runs one quicksort tenant whose swap area is protected by
-    ``--policy``, with ``--crashes`` mid-run server crashes (wipe +
-    40 ms outage + restart).  Exit status is nonzero on any invariant
-    violation, or — under ``--expect-recovery`` — when the run did not
-    actually exercise the machinery: every lost member rebuilt and
-    nothing left pending, degraded service observed while members were
-    down (rs reads reconstruct; nway reads fail over), repair traffic
-    within 10% of lost x (k+m)/k, memory overhead within 0.05 of the
-    policy's nominal, and the throttle contended — or, under
-    ``--replay-check``, when a second run of the same seed diverges.
+    One quicksort tenant whose swap area is protected by ``--policy``,
+    with ``--crashes`` mid-run server crashes (wipe + 40 ms outage +
+    restart).  ``--expect-recovery`` fails unless every lost member
+    rebuilt and nothing is left pending, degraded service was observed
+    while members were down (rs reads reconstruct; nway reads fail
+    over), repair traffic is within 10% of lost x (k+m)/k, memory
+    overhead within 0.05 of the policy's nominal, and the throttle
+    contended.
     """
     from .experiments import cluster_redundancy_config
     from .redundancy.policy import parse_policy
-    from .runner import run_scenario
     from .units import fmt_bytes
 
-    try:
-        pol = parse_policy(args.policy)
-    except ValueError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return 2
+    pol = parse_policy(args.policy)
     if pol.kind == "none":
-        print("ERROR: pick a redundant policy (nway(r) or rs(k,m))",
-              file=sys.stderr)
-        return 2
+        raise ValueError("pick a redundant policy (nway(r) or rs(k,m))")
     if args.crashes > pol.m:
         # Staggered outages heal in between, but keep the gate honest:
         # the schedule never exceeds the policy's concurrent tolerance,
         # so > m crashes only make sense with a wider policy.
-        print(
-            f"ERROR: {pol.label} tolerates {pol.m} concurrent "
-            f"failures; --crashes {args.crashes} exceeds that",
-            file=sys.stderr,
+        raise ValueError(
+            f"{pol.label} tolerates {pol.m} concurrent failures; "
+            f"--crashes {args.crashes} exceeds that"
         )
-        return 2
     crashes = _redundancy_default_crashes(pol, args.crashes)
-
-    def run_once():
-        cfg = cluster_redundancy_config(
-            redundancy=args.policy,
-            nservers=args.nservers,
-            crashes=crashes,
-            throttle_mib_s=args.throttle_mib_s,
-        )
-        cfg.seed = args.seed
-        return run_scenario(cfg)
-
-    when = ", ".join(f"mem{s}@{at / 1000:g}ms" for at, s in crashes)
-    print(
-        f"redundancy run: quicksort over {args.policy}, "
-        f"{args.nservers} servers, crashes [{when}], "
-        f"throttle {args.throttle_mib_s:g} MiB/s (seed={args.seed})..."
+    cfg = cluster_redundancy_config(
+        redundancy=args.policy,
+        nservers=args.nservers,
+        crashes=crashes,
+        throttle_mib_s=args.throttle_mib_s,
     )
-    result = run_once()
-    report = result.redundancy
-    repair = report.get("repair", {})
-    print(result.summary())
-    print()
-    print(f"policy {pol.label}: demand {fmt_bytes(report['demand_bytes'])}, "
-          f"reserved {fmt_bytes(report['reserved_bytes'])} "
-          f"(overhead {report['overhead']:.2f}x, nominal {pol.overhead:.2f}x)")
-    print(f"degraded service: {report['degraded_reads']} degraded reads, "
-          f"{report['reconstructs']} reconstructs, "
-          f"{report['read_failovers']} read failovers, "
-          f"{report['write_failovers']} write failovers")
-    print(f"repair: {repair.get('rebuilds', 0)} rebuilds "
-          f"({repair.get('spare_rebuilds', 0)} onto spares, "
-          f"{repair.get('aborts', 0)} aborted), "
-          f"{fmt_bytes(repair.get('bytes_moved', 0))} moved for "
-          f"{fmt_bytes(repair.get('lost_bytes', 0))} lost, "
-          f"{repair.get('pending', 0)} pending, "
-          f"{repair.get('throttle_waits', 0)} throttle waits")
-    status = 0
-    violations = list(result.invariant_violations)
-    if violations:
-        print(
-            f"ERROR: {len(violations)} invariant violations:",
-            file=sys.stderr,
-        )
-        for v in violations[:20]:
-            print(
-                f"  t={v['t_usec']:.1f} {v['monitor']} "
-                f"[{v['component']}]: {v['message']}",
-                file=sys.stderr,
-            )
-        status = 1
-    else:
-        print("invariant monitors: clean (0 violations)")
-    if args.expect_recovery:
+    cfg.seed = args.seed
+
+    def check(results):
+        result = results["run"]
+        report = result.redundancy
+        payload = {
+            "policy": pol.label,
+            "nservers": args.nservers,
+            "seed": args.seed,
+            "crashes": [{"at_usec": at, "server": s} for at, s in crashes],
+            "throttle_mib_s": args.throttle_mib_s,
+            "elapsed_usec": result.elapsed_usec,
+            "report": report,
+        }
+        if not args.expect_recovery:
+            return payload, []
         problems = []
+        repair = report.get("repair", {})
         if repair.get("rebuilds", 0) < len(crashes):
             problems.append(
                 f"{repair.get('rebuilds', 0)} rebuilds for "
@@ -633,158 +617,122 @@ def _run_redundancy(args) -> int:
             )
         if not repair.get("throttle_waits", 0):
             problems.append("migration throttle never contended")
-        if problems:
-            for p in problems:
-                print(f"ERROR: expected recovery: {p}", file=sys.stderr)
-            status = 1
-        else:
+        return payload, [f"expected recovery: {p}" for p in problems]
+
+    def show(results, payload, failures):
+        report = payload["report"]
+        repair = report.get("repair", {})
+        print(results["run"].summary())
+        print()
+        print(f"policy {pol.label}: demand {fmt_bytes(report['demand_bytes'])}, "
+              f"reserved {fmt_bytes(report['reserved_bytes'])} "
+              f"(overhead {report['overhead']:.2f}x, "
+              f"nominal {pol.overhead:.2f}x)")
+        print(f"degraded service: {report['degraded_reads']} degraded reads, "
+              f"{report['reconstructs']} reconstructs, "
+              f"{report['read_failovers']} read failovers, "
+              f"{report['write_failovers']} write failovers")
+        print(f"repair: {repair.get('rebuilds', 0)} rebuilds "
+              f"({repair.get('spare_rebuilds', 0)} onto spares, "
+              f"{repair.get('aborts', 0)} aborted), "
+              f"{fmt_bytes(repair.get('bytes_moved', 0))} moved for "
+              f"{fmt_bytes(repair.get('lost_bytes', 0))} lost, "
+              f"{repair.get('pending', 0)} pending, "
+              f"{repair.get('throttle_waits', 0)} throttle waits")
+        if args.expect_recovery and not failures:
             print("recovery gate: rebuilt, degraded service observed, "
                   "traffic and overhead within bounds")
-    if args.replay_check:
-        second = run_once()
-        if second.fairness_report() != result.fairness_report():
-            print(
-                "ERROR: replay diverged for the same seed",
-                file=sys.stderr,
-            )
-            status = 1
-        else:
-            print("replay check: second run identical (full report)")
-    if args.json:
-        payload = {
-            "policy": pol.label,
-            "nservers": args.nservers,
-            "seed": args.seed,
-            "crashes": [
-                {"at_usec": at, "server": s} for at, s in crashes
-            ],
-            "throttle_mib_s": args.throttle_mib_s,
-            "elapsed_usec": result.elapsed_usec,
-            "report": report,
-            "violations": violations,
-        }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"wrote {args.json}")
-    return status
+
+    when = ", ".join(f"mem{s}@{at / 1000:g}ms" for at, s in crashes)
+    return _Gate(
+        f"redundancy run: quicksort over {args.policy}, "
+        f"{args.nservers} servers, crashes [{when}], "
+        f"throttle {args.throttle_mib_s:g} MiB/s (seed={args.seed})...",
+        (_Run("run", cfg),),
+        check,
+        show,
+    )
 
 
-def _run_cluster(args) -> int:
+def _cluster_gate(args) -> _Gate:
     """``repro cluster``: multi-tenant fairness scenario + report.
 
-    Runs the three-tenant weighted-fair scenario (and, unless
-    ``--skip-baseline``, the QoS-off unfair baseline) and prints the
-    per-tenant fairness report.  Exit status is nonzero on any
-    invariant violation, when the fair run's completion-time spread
-    exceeds ``--max-spread``, when the baseline's spread falls below
-    ``--min-baseline-spread`` (the contrast the QoS machinery must
-    create), or — under ``--replay-check`` — when a second run of the
-    same seed diverges.
+    The three-tenant weighted-fair run and, unless ``--skip-baseline``,
+    the QoS-off unfair baseline.  Fails when the fair run's
+    completion-time spread exceeds ``--max-spread`` or the baseline's
+    falls below ``--min-baseline-spread`` (the contrast the QoS
+    machinery must create).
     """
     from .experiments import cluster_fair_config, cluster_unfair_config
-    from .runner import run_scenario
     from .units import fmt_bytes
 
     scale = args.scale
-
-    def run_fair():
-        cfg = cluster_fair_config(
-            scale, nservers=args.nservers, placement=args.placement
-        )
-        cfg.seed = args.seed
-        return run_scenario(cfg, trace=True)
-
-    def run_unfair():
-        cfg = cluster_unfair_config(scale, nservers=args.nservers)
-        cfg.seed = args.seed
-        return run_scenario(cfg, trace=True)
-
-    def show(result, title: str) -> None:
-        print(f"{title}: {result.summary()}")
-        rows = [
-            [
-                t.name,
-                t.workload,
-                f"{t.elapsed_usec * scale / 1e6:.2f}",
-                t.major_faults,
-                fmt_bytes(t.bytes_served),
-                t.placement if not t.disk_fallback else "disk-fallback",
-            ]
-            for t in result.tenants
-        ]
-        print(format_table(
-            ["tenant", "workload", f"time (s, x{scale})", "majors",
-             "served", "placement"],
-            rows,
-        ))
-
-    print(
-        f"cluster run: 3 tenants x {args.nservers} servers, "
-        f"placement={args.placement} (scale=1/{scale}, seed={args.seed})..."
+    fair = cluster_fair_config(
+        scale, nservers=args.nservers, placement=args.placement
     )
-    fair = run_fair()
-    show(fair, "fair (qos on)")
-    status = 0
-    violations = list(fair.invariant_violations)
-    if fair.spread > args.max_spread:
-        print(
-            f"ERROR: fair spread {fair.spread:.2f} exceeds "
-            f"--max-spread {args.max_spread:.2f}",
-            file=sys.stderr,
-        )
-        status = 1
-    unfair = None
+    runs = [_Run("fair", fair)]
     if not args.skip_baseline:
-        print()
-        unfair = run_unfair()
-        show(unfair, "baseline (qos off, one thrashing tenant)")
-        violations += unfair.invariant_violations
-        if unfair.spread < args.min_baseline_spread:
-            print(
-                f"ERROR: baseline spread {unfair.spread:.2f} below "
-                f"--min-baseline-spread {args.min_baseline_spread:.2f}",
-                file=sys.stderr,
-            )
-            status = 1
-    if violations:
-        print(
-            f"ERROR: {len(violations)} invariant violations:",
-            file=sys.stderr,
-        )
-        for v in violations[:20]:
-            print(
-                f"  t={v['t_usec']:.1f} {v['monitor']} "
-                f"[{v['component']}]: {v['message']}",
-                file=sys.stderr,
-            )
-        status = 1
-    else:
-        print("invariant monitors: clean (0 violations)")
-    if args.replay_check:
-        second = run_fair()
-        if second.fairness_report() != fair.fairness_report():
-            print(
-                "ERROR: replay diverged for the same seed "
-                "(fairness reports differ)",
-                file=sys.stderr,
-            )
-            status = 1
-        else:
-            print("replay check: second fair run identical")
-    if args.json:
+        runs.append(_Run(
+            "baseline", cluster_unfair_config(scale, nservers=args.nservers)
+        ))
+    for run in runs:
+        run.config.seed = args.seed
+
+    def check(results):
+        fair = results["fair"]
         payload = {
             "scale": scale,
             "seed": args.seed,
             "fair": fair.fairness_report(),
-            "violations": violations,
-            "status": status,
         }
+        failures = []
+        if fair.spread > args.max_spread:
+            failures.append(
+                f"fair spread {fair.spread:.2f} exceeds "
+                f"--max-spread {args.max_spread:.2f}"
+            )
+        unfair = results.get("baseline")
         if unfair is not None:
             payload["unfair_baseline"] = unfair.fairness_report()
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"wrote {args.json}")
-    return status
+            if unfair.spread < args.min_baseline_spread:
+                failures.append(
+                    f"baseline spread {unfair.spread:.2f} below "
+                    f"--min-baseline-spread {args.min_baseline_spread:.2f}"
+                )
+        return payload, failures
+
+    def show(results, payload, failures):
+        titles = {
+            "fair": "fair (qos on)",
+            "baseline": "baseline (qos off, one thrashing tenant)",
+        }
+        for name, result in results.items():
+            if name != "fair":
+                print()
+            print(f"{titles[name]}: {result.summary()}")
+            print(format_table(
+                ["tenant", "workload", f"time (s, x{scale})", "majors",
+                 "served", "placement"],
+                [
+                    [
+                        t.name,
+                        t.workload,
+                        f"{t.elapsed_usec * scale / 1e6:.2f}",
+                        t.major_faults,
+                        fmt_bytes(t.bytes_served),
+                        t.placement if not t.disk_fallback else "disk-fallback",
+                    ]
+                    for t in result.tenants
+                ],
+            ))
+
+    return _Gate(
+        f"cluster run: 3 tenants x {args.nservers} servers, "
+        f"placement={args.placement} (scale=1/{scale}, seed={args.seed})...",
+        tuple(runs),
+        check,
+        show,
+    )
 
 
 def _plan_degraded_servers(faults) -> list[str]:
@@ -808,28 +756,22 @@ def _plan_degraded_servers(faults) -> list[str]:
     return names
 
 
-def _run_health_mitigate(args) -> int:
+def _mitigate_gate(args) -> _Gate:
     """``repro health --mitigate``: the limping-server acceptance run.
 
-    Runs the mirrored three-tenant fleet three ways — healthy baseline,
+    The mirrored three-tenant fleet three ways — healthy baseline,
     unmitigated fail-slow cliff, and fail-slow with EWMA replica
-    selection + hedged reads + quarantine armed — and gates on the
-    worst tenant p99: the unmitigated run must breach the ratio (the
-    fault bites) and the mitigated run must stay under it (the
-    countermeasures earn their keep).  The mitigated run is traced so
-    the critical-path blame must show hedge-win time; ``--replay-check``
-    reruns it and fails on a byte-different health report.
+    selection + hedged reads + quarantine armed — gated on the worst
+    tenant p99: the unmitigated run must breach the ratio (the fault
+    bites) and the mitigated run must stay under it (the countermeasures
+    earn their keep), with winning hedges whose time the mitigated
+    run's critical-path blame shows.
     """
-    from .analysis.critpath import aggregate_blame, request_paths
     from .experiments import cluster_failslow_mitigated_config
-    from .obs import write_chrome_trace
-    from .runner import run_scenario
 
-    scale = args.scale
-
-    def make_cfg(slow: bool, mitigate: bool):
+    def run(name: str, slow: bool, mitigate: bool) -> _Run:
         cfg = cluster_failslow_mitigated_config(
-            scale,
+            args.scale,
             nservers=args.nservers,
             service_mult=args.service_mult,
             extra_rtt_usec=args.extra_rtt_usec,
@@ -837,327 +779,241 @@ def _run_health_mitigate(args) -> int:
             mitigate=mitigate,
         )
         cfg.seed = args.seed
-        return cfg
+        return _Run(name, cfg, spans=name == "mitigated")
 
-    def worst_p99(result) -> float:
-        return max(
-            t["p99_usec"] or 0.0
-            for t in result.health["tenants"].values()
-        )
-
-    print(
-        f"mitigation run: 3 mirrored tenants x {args.nservers} servers "
-        f"(scale=1/{scale}, seed={args.seed}, gate {args.p99_ratio}x)..."
-    )
-    runs = {}
-    for name, slow, mitigate, traced in (
-        ("healthy", False, True, False),
-        ("unmitigated", True, False, False),
-        ("mitigated", True, True, True),
-    ):
-        runs[name] = run_scenario(
-            make_cfg(slow, mitigate), trace=traced or bool(args.output)
-        )
-    status = 0
-    for name, result in runs.items():
-        violations = result.invariant_violations
-        if violations:
-            print(
-                f"ERROR: {name}: {len(violations)} invariant violations",
-                file=sys.stderr,
+    def check(results):
+        p99 = {
+            name: max(
+                t["p99_usec"] or 0.0 for t in result.health["tenants"].values()
             )
-            status = 1
-    healthy = worst_p99(runs["healthy"])
-    unmitigated = worst_p99(runs["unmitigated"])
-    mitigated = worst_p99(runs["mitigated"])
-    print()
-    print(format_table(
-        ["run", "worst tenant p99 (us)", "vs healthy"],
-        [
-            [name, round(p99, 1), f"{p99 / healthy:.2f}x"]
-            for name, p99 in (
-                ("healthy", healthy),
-                ("unmitigated", unmitigated),
-                ("mitigated", mitigated),
+            for name, result in results.items()
+        }
+        mitigated = results["mitigated"]
+        counters = {
+            key: sum(
+                _counter(mitigated.registry, f"{t.name}-hpbd.{key}")
+                for t in mitigated.tenants
             )
-        ],
-    ))
-    stats = runs["mitigated"].registry
-
-    def counter_total(name: str) -> int:
-        c = stats.get(name)
-        return int(c.total) if c is not None else 0
-
-    tenant_names = [t.name for t in runs["mitigated"].tenants]
-    counters = {
-        key: sum(
-            counter_total(f"{name}-hpbd.{key}") for name in tenant_names
-        )
-        for key in (
-            "hedges", "hedge_wins", "steered_reads", "semisync_writes",
-            "quarantines", "quarantine_lifts",
-        )
-    }
-    counters["server_slowdowns"] = counter_total("fault.server_slowdowns")
-    print()
-    print("mitigated-run counters:")
-    for key, value in counters.items():
-        print(f"  {key:<18s} {value}")
-    blame = aggregate_blame(request_paths(runs["mitigated"].trace))
-    hedge_win_usec = blame.get("hedge_win", 0.0)
-    print(
-        f"critpath blame: hedge_win={hedge_win_usec:.1f} us, "
-        f"hedge_waste={blame.get('hedge_waste', 0.0):.1f} us, "
-        f"server_slow={blame.get('server_slow', 0.0):.1f} us"
-    )
-    if unmitigated < args.p99_ratio * healthy:
-        print(
-            f"ERROR: unmitigated run did not breach the gate "
-            f"({unmitigated:.1f} < {args.p99_ratio}x {healthy:.1f}) — "
-            f"the injected fault is too mild to prove mitigation",
-            file=sys.stderr,
-        )
-        status = 1
-    if mitigated >= args.p99_ratio * healthy:
-        print(
-            f"ERROR: mitigated p99 {mitigated:.1f} us >= "
-            f"{args.p99_ratio}x healthy {healthy:.1f} us",
-            file=sys.stderr,
-        )
-        status = 1
-    if counters["hedges"] == 0 or counters["hedge_wins"] == 0:
-        print(
-            "ERROR: mitigated run fired no winning hedges",
-            file=sys.stderr,
-        )
-        status = 1
-    if hedge_win_usec <= 0.0:
-        print(
-            "ERROR: critical-path blame shows no hedge-win time",
-            file=sys.stderr,
-        )
-        status = 1
-    if status == 0:
-        print(
-            f"mitigation gate: mitigated {mitigated / healthy:.2f}x vs "
-            f"unmitigated {unmitigated / healthy:.2f}x healthy "
-            f"(threshold {args.p99_ratio}x)"
-        )
-    if args.replay_check:
-        second = run_scenario(make_cfg(True, True), trace=True)
-        a = json.dumps(runs["mitigated"].health, sort_keys=True)
-        b = json.dumps(second.health, sort_keys=True)
-        if a != b:
-            print(
-                "ERROR: replay diverged for the same seed "
-                "(mitigated health reports differ)",
-                file=sys.stderr,
+            for key in (
+                "hedges", "hedge_wins", "steered_reads", "semisync_writes",
+                "quarantines", "quarantine_lifts",
             )
-            status = 1
-        else:
-            print(
-                "replay check: second mitigated run's health report "
-                "byte-identical"
-            )
-    if args.output:
-        write_chrome_trace(runs["mitigated"].trace, args.output)
-        print(f"wrote {args.output}  (load in Perfetto / chrome://tracing)")
-    if args.json:
+        }
+        counters["server_slowdowns"] = _counter(
+            mitigated.registry, "fault.server_slowdowns"
+        )
         payload = {
             "scenario": "cluster-failslow-mitigated",
-            "scale": scale,
+            "scale": args.scale,
             "seed": args.seed,
             "nservers": args.nservers,
             "p99_ratio_gate": args.p99_ratio,
-            "p99_usec": {
-                "healthy": healthy,
-                "unmitigated": unmitigated,
-                "mitigated": mitigated,
-            },
+            "p99_usec": p99,
             "counters": counters,
-            "blame_usec": blame,
-            "health": runs["mitigated"].health,
-            "status": status,
+            "blame_usec": mitigated.blame_usec,
+            "health": mitigated.health,
         }
-        write_json_report(args.json, payload)
-        print(f"wrote {args.json}")
-    return status
-
-
-def _run_health(args) -> int:
-    """``repro health``: per-run fleet health report (SLOs + fail-slow).
-
-    Runs the seeded three-tenant cluster with one fail-slow server (a
-    mid-run ``LinkDegrade`` on mem1) — or, under ``--healthy``, the
-    fault-free fair scenario — with the always-on SLO engine and
-    anomaly detector, then prints the per-server / per-tenant health
-    report.  Exit status is nonzero on invariant violations or when
-    the health gate fails: by default any fail-slow flag or SLO breach
-    fails the gate; under ``--expect-breach`` the gate inverts and
-    fails unless the detector flagged exactly the degraded server and
-    at least one latency SLO breach was recorded.  ``--replay-check``
-    fails when a second run of the same seed yields a byte-different
-    report.
-    """
-    from .experiments import cluster_failslow_config, cluster_fair_config
-    from .obs import write_chrome_trace
-    from .runner import run_scenario
-
-    if args.mitigate:
-        return _run_health_mitigate(args)
-
-    scale = args.scale
-
-    def make_cfg():
-        if args.healthy:
-            cfg = cluster_fair_config(scale, nservers=args.nservers)
-        else:
-            cfg = cluster_failslow_config(
-                scale,
-                nservers=args.nservers,
-                latency_mult=args.latency_mult,
+        healthy = p99["healthy"]
+        failures = []
+        if p99["unmitigated"] < args.p99_ratio * healthy:
+            failures.append(
+                f"unmitigated run did not breach the gate "
+                f"({p99['unmitigated']:.1f} < {args.p99_ratio}x "
+                f"{healthy:.1f}) — the injected fault is too mild to "
+                f"prove mitigation"
             )
-        cfg.seed = args.seed
-        return cfg
+        if p99["mitigated"] >= args.p99_ratio * healthy:
+            failures.append(
+                f"mitigated p99 {p99['mitigated']:.1f} us >= "
+                f"{args.p99_ratio}x healthy {healthy:.1f} us"
+            )
+        if counters["hedges"] == 0 or counters["hedge_wins"] == 0:
+            failures.append("mitigated run fired no winning hedges")
+        if mitigated.blame_usec.get("hedge_win", 0.0) <= 0.0:
+            failures.append("critical-path blame shows no hedge-win time")
+        return payload, failures
 
-    # The server(s) the configured fault plan actually degrades — the
-    # --expect-breach gate checks the detector flagged exactly these.
-    degraded = _plan_degraded_servers(make_cfg().faults)
-
-    def run_once():
-        return run_scenario(make_cfg(), trace=bool(args.output))
-
-    scenario = "cluster-fair" if args.healthy else "cluster-failslow"
-    print(
-        f"health run: {scenario}, 3 tenants x {args.nservers} servers "
-        f"(scale=1/{scale}, seed={args.seed})..."
-    )
-    result = run_once()
-    report = result.health
-    if not report:
-        print("ERROR: run produced no health report", file=sys.stderr)
-        return 1
-    print(result.summary())
-    print()
-    print("servers:")
-    print(format_table(
-        ["server", "status", "flagged", "samples", "ewma (us)",
-         "p99 (us)", "peak score"],
-        [
-            [name, s["status"], "yes" if s["flagged"] else "no",
-             s["samples"], s["ewma_usec"] or 0.0, s["p99_usec"] or 0.0,
-             s["peak_score"]]
-            for name, s in report["servers"].items()
-        ],
-    ))
-    print()
-    print("tenants:")
-    print(format_table(
-        ["tenant", "requests", "fails", "avail", "p50 (us)", "p99 (us)",
-         "peak burn", "breaches", "slo met"],
-        [
-            [name, t["requests"], t["failed_attempts"],
-             t["availability"] if t["availability"] is not None else "-",
-             t["p50_usec"] or 0.0, t["p99_usec"] or 0.0,
-             t["peak_burn_rate"], t["breaches"],
-             "yes" if t["slo_met"] else "no"]
-            for name, t in report["tenants"].items()
-        ],
-    ))
-    timeline = report["breach_timeline"]
-    if timeline:
+    def show(results, payload, failures):
+        p99 = payload["p99_usec"]
+        healthy = p99["healthy"]
         print()
-        print(f"breach timeline ({len(timeline)} edges, "
-              f"{len(report['burn_timeline'])} burn samples):")
-        for b in timeline[:args.top]:
-            print(
-                f"  t={b['t_usec']:>12.1f}  {b['tenant']:<8s} "
-                f"{b['slo']:<12s} {b['edge']:<5s} "
-                f"observed={b['observed']:.1f} burn={b['burn_rate']:.2f}"
-            )
-        if len(timeline) > args.top:
-            print(f"  ... {len(timeline) - args.top} more")
-    status = 0
-    violations = result.invariant_violations
-    if violations:
+        print(format_table(
+            ["run", "worst tenant p99 (us)", "vs healthy"],
+            [
+                [name, round(value, 1), f"{value / healthy:.2f}x"]
+                for name, value in p99.items()
+            ],
+        ))
+        print()
+        print("mitigated-run counters:")
+        for key, value in payload["counters"].items():
+            print(f"  {key:<18s} {value}")
+        blame = payload["blame_usec"]
         print(
-            f"ERROR: {len(violations)} invariant violations:",
-            file=sys.stderr,
+            f"critpath blame: hedge_win={blame.get('hedge_win', 0.0):.1f} us, "
+            f"hedge_waste={blame.get('hedge_waste', 0.0):.1f} us, "
+            f"server_slow={blame.get('server_slow', 0.0):.1f} us"
         )
-        for v in violations[:20]:
+        if not failures:
             print(
-                f"  t={v['t_usec']:.1f} {v['monitor']} "
-                f"[{v['component']}]: {v['message']}",
-                file=sys.stderr,
+                f"mitigation gate: mitigated {p99['mitigated'] / healthy:.2f}x "
+                f"vs unmitigated {p99['unmitigated'] / healthy:.2f}x healthy "
+                f"(threshold {args.p99_ratio}x)"
             )
-        status = 1
-    else:
-        print("invariant monitors: clean (0 violations)")
-    flagged = report["flagged_servers"]
-    lat_breaches = [
-        b for b in timeline
+
+    return _Gate(
+        f"mitigation run: 3 mirrored tenants x {args.nservers} servers "
+        f"(scale=1/{args.scale}, seed={args.seed}, gate {args.p99_ratio}x)...",
+        (
+            run("healthy", False, True),
+            run("unmitigated", True, False),
+            run("mitigated", True, True),
+        ),
+        check,
+        show,
+    )
+
+
+def _latency_breaches(report: dict) -> list[dict]:
+    return [
+        b for b in report["breach_timeline"]
         if b["slo"] == "latency_p99" and b["edge"] == "start"
     ]
-    if args.expect_breach:
-        if sorted(flagged) != sorted(degraded):
-            print(
-                f"ERROR: expected fail-slow flag on exactly "
-                f"{degraded}, detector flagged {flagged}",
-                file=sys.stderr,
-            )
-            status = 1
-        if not lat_breaches:
-            print(
-                "ERROR: expected at least one latency_p99 SLO breach, "
-                "got none",
-                file=sys.stderr,
-            )
-            status = 1
-        if status == 0:
-            print(
-                f"expected breach confirmed: flagged {flagged}, "
-                f"{len(lat_breaches)} latency breach(es), "
-                f"victims: {', '.join(report['breached_tenants'])}"
-            )
-    elif flagged or report["breached_tenants"]:
-        print(
-            f"ERROR: health gate failed — flagged servers {flagged}, "
-            f"breached tenants {report['breached_tenants']}",
-            file=sys.stderr,
-        )
-        status = 1
+
+
+def _health_gate(args) -> _Gate:
+    """``repro health``: per-run fleet health report (SLOs + fail-slow).
+
+    The seeded three-tenant cluster with one fail-slow server (a mid-run
+    ``LinkDegrade`` on mem1) — or, under ``--healthy``, the fault-free
+    fair scenario — with the always-on SLO engine and anomaly detector.
+    By default any fail-slow flag or SLO breach fails the gate; under
+    ``--expect-breach`` the gate inverts and fails unless the detector
+    flagged exactly the degraded server and at least one latency SLO
+    breach was recorded.  ``--mitigate`` runs :func:`_mitigate_gate`.
+    """
+    from .experiments import cluster_failslow_config, cluster_fair_config
+
+    if args.mitigate:
+        return _mitigate_gate(args)
+    if args.healthy:
+        cfg = cluster_fair_config(args.scale, nservers=args.nservers)
     else:
-        print("health gate: all SLOs met, no fail-slow flags")
-    if args.replay_check:
-        second = run_once()
-        a = json.dumps(report, sort_keys=True)
-        b = json.dumps(second.health, sort_keys=True)
-        if a != b:
-            print(
-                "ERROR: replay diverged for the same seed "
-                "(health reports differ)",
-                file=sys.stderr,
-            )
-            status = 1
-        else:
-            print("replay check: second run's health report byte-identical")
-    if args.output:
-        write_chrome_trace(result.trace, args.output)
-        print(f"wrote {args.output}  (load in Perfetto / chrome://tracing)")
-    if args.json:
+        cfg = cluster_failslow_config(
+            args.scale, nservers=args.nservers, latency_mult=args.latency_mult
+        )
+    cfg.seed = args.seed
+    # The server(s) the configured fault plan actually degrades — the
+    # --expect-breach gate checks the detector flagged exactly these.
+    degraded = _plan_degraded_servers(cfg.faults)
+    scenario = "cluster-fair" if args.healthy else "cluster-failslow"
+
+    def check(results):
+        result = results["run"]
+        report = result.health
         payload = {
             "scenario": scenario,
-            "scale": scale,
+            "scale": args.scale,
             "seed": args.seed,
             "nservers": args.nservers,
             "elapsed_usec": result.elapsed_usec,
             "health": report,
-            "violations": violations,
-            "status": status,
         }
-        write_json_report(args.json, payload)
-        print(f"wrote {args.json}")
-    return status
+        if not report:
+            return payload, ["run produced no health report"]
+        flagged = report["flagged_servers"]
+        failures = []
+        if args.expect_breach:
+            if sorted(flagged) != sorted(degraded):
+                failures.append(
+                    f"expected fail-slow flag on exactly {degraded}, "
+                    f"detector flagged {flagged}"
+                )
+            if not _latency_breaches(report):
+                failures.append(
+                    "expected at least one latency_p99 SLO breach, got none"
+                )
+        elif flagged or report["breached_tenants"]:
+            failures.append(
+                f"health gate failed — flagged servers {flagged}, "
+                f"breached tenants {report['breached_tenants']}"
+            )
+        return payload, failures
+
+    def show(results, payload, failures):
+        report = payload["health"]
+        if not report:
+            return
+        print(results["run"].summary())
+        print()
+        print("servers:")
+        print(format_table(
+            ["server", "status", "flagged", "samples", "ewma (us)",
+             "p99 (us)", "peak score"],
+            [
+                [name, s["status"], "yes" if s["flagged"] else "no",
+                 s["samples"], s["ewma_usec"] or 0.0, s["p99_usec"] or 0.0,
+                 s["peak_score"]]
+                for name, s in report["servers"].items()
+            ],
+        ))
+        print()
+        print("tenants:")
+        print(format_table(
+            ["tenant", "requests", "fails", "avail", "p50 (us)", "p99 (us)",
+             "peak burn", "breaches", "slo met"],
+            [
+                [name, t["requests"], t["failed_attempts"],
+                 t["availability"] if t["availability"] is not None else "-",
+                 t["p50_usec"] or 0.0, t["p99_usec"] or 0.0,
+                 t["peak_burn_rate"], t["breaches"],
+                 "yes" if t["slo_met"] else "no"]
+                for name, t in report["tenants"].items()
+            ],
+        ))
+        timeline = report["breach_timeline"]
+        if timeline:
+            print()
+            print(f"breach timeline ({len(timeline)} edges, "
+                  f"{len(report['burn_timeline'])} burn samples):")
+            for b in timeline[:args.top]:
+                print(
+                    f"  t={b['t_usec']:>12.1f}  {b['tenant']:<8s} "
+                    f"{b['slo']:<12s} {b['edge']:<5s} "
+                    f"observed={b['observed']:.1f} burn={b['burn_rate']:.2f}"
+                )
+            if len(timeline) > args.top:
+                print(f"  ... {len(timeline) - args.top} more")
+        if failures:
+            return
+        if args.expect_breach:
+            print(
+                f"expected breach confirmed: flagged "
+                f"{report['flagged_servers']}, "
+                f"{len(_latency_breaches(report))} latency breach(es), "
+                f"victims: {', '.join(report['breached_tenants'])}"
+            )
+        else:
+            print("health gate: all SLOs met, no fail-slow flags")
+
+    return _Gate(
+        f"health run: {scenario}, 3 tenants x {args.nservers} servers "
+        f"(scale=1/{args.scale}, seed={args.seed})...",
+        (_Run("run", cfg),),
+        check,
+        show,
+    )
+
+
+#: the scenario commands :func:`_drive` runs (``health --mitigate`` is
+#: chosen inside :func:`_health_gate`).
+_GATES: dict[str, Callable[[argparse.Namespace], _Gate]] = {
+    "critpath": _critpath_gate,
+    "faults": _faults_gate,
+    "redundancy": _redundancy_gate,
+    "cluster": _cluster_gate,
+    "health": _health_gate,
+}
 
 
 def _run_sweep_cmd(args) -> int:
@@ -1579,6 +1435,53 @@ def _report(scale: int, output: str) -> int:
     return 0
 
 
+def _min_int(low: int) -> Callable[[str], int]:
+    """argparse type: an int no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+#: flags several commands share: option strings and argparse keywords;
+#: each command passes its own default to :func:`_add_flags`.
+_FLAGS: dict[str, tuple[tuple[str, ...], dict]] = {
+    "scale": (("--scale",), {
+        "type": _min_int(1),
+        "help": "size divisor; 1 = full paper sizes (default: %(default)s)",
+    }),
+    "seed": (("--seed",), {"type": int}),
+    "nservers": (("--nservers",), {
+        "type": int,
+        "help": "memory servers in the fleet (default: %(default)s)",
+    }),
+    "replay_check": (("--replay-check",), {
+        "action": "store_true",
+        "help": "run again with the same seed; fail unless the JSON "
+        "payload (all but status) is identical",
+    }),
+    "output": (("-o", "--output"), {
+        "metavar": "PATH", "help": "write the Chrome trace-event JSON here",
+    }),
+    "json": (("--json",), {
+        "metavar": "PATH", "help": "write the JSON report here",
+    }),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, **defaults) -> None:
+    """Declare the shared flags named in ``defaults``, with those
+    defaults."""
+    for dest, default in defaults.items():
+        names, kwargs = _FLAGS[dest]
+        parser.add_argument(*names, default=default, **kwargs)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1590,7 +1493,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     rep = sub.add_parser(
         "report", help="run every experiment and write a markdown report"
     )
-    rep.add_argument("--scale", type=int, default=8)
+    _add_flags(rep, scale=8)
     rep.add_argument("-o", "--output", default="REPORT.md")
     rep.add_argument(
         "--campaign", metavar="JSONL", default=None,
@@ -1612,14 +1515,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     tr.add_argument("--device", choices=_TRACE_DEVICES, default="hpbd")
     tr.add_argument("--workload", choices=_TRACE_WORKLOADS, default="quicksort")
-    tr.add_argument(
-        "--scale", type=int, default=32,
-        help="size divisor; 1 = full paper sizes (default: 32)",
-    )
-    tr.add_argument(
-        "-o", "--output", default="trace.json",
-        help="Chrome trace-event JSON path (default: trace.json)",
-    )
+    _add_flags(tr, scale=32, output="trace.json")
     tr.add_argument("--csv", metavar="PATH", help="also dump flat span CSV")
     cp = sub.add_parser(
         "critpath",
@@ -1629,20 +1525,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     cp.add_argument("--device", choices=_TRACE_DEVICES, default="hpbd")
     cp.add_argument("--workload", choices=_TRACE_WORKLOADS, default="quicksort")
     cp.add_argument(
-        "--scale", type=int, default=32,
-        help="size divisor; 1 = full paper sizes (default: 32)",
-    )
-    cp.add_argument(
         "--top", type=int, default=10,
         help="slowest requests to show (default: 10)",
     )
-    cp.add_argument(
-        "-o", "--output", metavar="PATH",
-        help="also write the Chrome trace-event JSON",
-    )
-    cp.add_argument(
-        "--json", metavar="PATH", help="dump the blame report as JSON"
-    )
+    _add_flags(cp, scale=32, output=None, json=None)
     fa = sub.add_parser(
         "faults",
         help="crash a memory server mid-run; audit the recovery "
@@ -1653,10 +1539,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="recovery mode absorbing the crash (default: mirror)",
     )
     fa.add_argument(
-        "--scale", type=int, default=32,
-        help="size divisor; 1 = full paper sizes (default: 32)",
-    )
-    fa.add_argument(
         "--crash-at", type=float, default=None,
         help="crash time in simulated us (default: mid-run for --scale)",
     )
@@ -1664,22 +1546,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--timeout", type=float, default=2_000.0,
         help="per-request timeout in us (default: 2000)",
     )
-    fa.add_argument("--seed", type=int, default=1)
     fa.add_argument(
         "--expect-recovery", action="store_true",
         help="fail unless the run actually timed out and failed over",
     )
-    fa.add_argument(
-        "--replay-check", action="store_true",
-        help="run twice; fail if counters or blame diverge",
-    )
-    fa.add_argument(
-        "-o", "--output", metavar="PATH",
-        help="also write the Chrome trace-event JSON",
-    )
-    fa.add_argument(
-        "--json", metavar="PATH", help="dump the fault report as JSON"
-    )
+    _add_flags(fa, scale=32, seed=1, replay_check=False, output=None, json=None)
     rd = sub.add_parser(
         "redundancy",
         help="crash erasure-coded members mid-run; audit degraded "
@@ -1691,32 +1562,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="redundancy policy: nway(r) or rs(k,m) (default: rs(4,2))",
     )
     rd.add_argument(
-        "--crashes", type=int, default=1,
+        "--crashes", type=_min_int(0), default=1,
         help="staggered mid-run server crashes, at most the policy's "
         "tolerance m (default: 1)",
-    )
-    rd.add_argument(
-        "--nservers", type=int, default=8,
-        help="memory servers in the fleet (default: 8)",
     )
     rd.add_argument(
         "--throttle-mib-s", type=float, default=400.0,
         help="repair/migration bandwidth cap in MiB/s (default: 400)",
     )
-    rd.add_argument("--seed", type=int, default=42)
     rd.add_argument(
         "--expect-recovery", action="store_true",
         help="fail unless every lost member rebuilt, degraded service "
         "was observed, and repair traffic/overhead are within bounds",
     )
-    rd.add_argument(
-        "--replay-check", action="store_true",
-        help="run twice; fail if the reports diverge",
-    )
-    rd.add_argument(
-        "--json", metavar="PATH",
-        help="dump the redundancy report as JSON",
-    )
+    _add_flags(rd, nservers=8, seed=42, replay_check=False, json=None)
     cl = sub.add_parser(
         "cluster",
         help="run the multi-tenant fairness scenario (+ QoS-off "
@@ -1724,18 +1583,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         "violations or fairness-gate failures)",
     )
     cl.add_argument(
-        "--scale", type=int, default=64,
-        help="size divisor; 1 = full paper sizes (default: 64)",
-    )
-    cl.add_argument(
-        "--nservers", type=int, default=2,
-        help="memory servers in the fleet (default: 2)",
-    )
-    cl.add_argument(
         "--placement", choices=_PLACEMENT_POLICIES, default="blocking",
         help="placement policy for the fair run (default: blocking)",
     )
-    cl.add_argument("--seed", type=int, default=42)
     cl.add_argument(
         "--max-spread", type=float, default=1.10,
         help="fail if the fair run's completion-time spread exceeds "
@@ -1750,28 +1600,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--skip-baseline", action="store_true",
         help="fair run only; skip the unfair baseline",
     )
-    cl.add_argument(
-        "--replay-check", action="store_true",
-        help="run the fair scenario twice; fail if reports diverge",
-    )
-    cl.add_argument(
-        "--json", metavar="PATH", help="dump the fairness report as JSON"
-    )
+    _add_flags(cl, scale=64, nservers=2, seed=42, replay_check=False, json=None)
     he = sub.add_parser(
         "health",
         help="run the fail-slow cluster scenario; print the fleet "
         "health report (SLO attainment, breach timeline, anomaly "
         "verdicts; nonzero exit on failed health gates)",
     )
-    he.add_argument(
-        "--scale", type=int, default=64,
-        help="size divisor; 1 = full paper sizes (default: 64)",
-    )
-    he.add_argument(
-        "--nservers", type=int, default=3,
-        help="memory servers in the fleet (default: 3)",
-    )
-    he.add_argument("--seed", type=int, default=42)
     he.add_argument(
         "--latency-mult", type=float, default=20.0,
         help="LinkDegrade latency multiplier on the limping server "
@@ -1810,20 +1645,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="--mitigate: fail-slow per-op stall in usec (default: 400)",
     )
     he.add_argument(
-        "--replay-check", action="store_true",
-        help="run twice; fail if the health reports are not "
-        "byte-identical",
-    )
-    he.add_argument(
         "--top", type=int, default=10,
         help="breach-timeline edges to print (default: 10)",
     )
-    he.add_argument(
-        "-o", "--output", metavar="PATH",
-        help="also write the Chrome trace-event JSON (runs traced)",
-    )
-    he.add_argument(
-        "--json", metavar="PATH", help="dump the health report as JSON"
+    _add_flags(
+        he, scale=64, nservers=3, seed=42, replay_check=False, output=None,
+        json=None,
     )
     sw = sub.add_parser(
         "sweep",
@@ -1833,10 +1660,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     from .experiments import SWEEPS as _SWEEPS
 
     sw.add_argument("experiment", choices=[*_SWEEPS, "all"])
-    sw.add_argument(
-        "--scale", type=int, default=8,
-        help="size divisor; 1 = full paper sizes (default: 8)",
-    )
     sw.add_argument(
         "--workers", default=None,
         help="process count, 'auto' = one per CPU (default: "
@@ -1859,11 +1682,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="trace every point; results carry per-request blame "
         "aggregates (queueing-vs-wire split in the JSON payload)",
     )
-    sw.add_argument("--json", metavar="PATH", help="dump raw numbers as JSON")
     sw.add_argument(
         "--campaign", metavar="JSONL", default=None,
         help="append a RunRecord per point to this campaign store",
     )
+    _add_flags(sw, scale=8, json=None)
     ca = sub.add_parser(
         "campaign",
         help="replicate a sweep grid across seeds into a JSONL campaign "
@@ -1874,10 +1697,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--seeds", default="1,2,3",
         help="comma-separated campaign seeds (default: 1,2,3)",
     )
-    ca.add_argument(
-        "--scale", type=int, default=8,
-        help="size divisor; 1 = full paper sizes (default: 8)",
-    )
+    _add_flags(ca, scale=8)
     ca.add_argument(
         "--store", metavar="JSONL", default="campaign.jsonl",
         help="campaign store to append to (default: campaign.jsonl)",
@@ -1946,16 +1766,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--all", action="store_true",
         help="print every aligned metric, not just significant ones",
     )
-    co.add_argument("--json", metavar="PATH", help="dump the verdict as JSON")
+    _add_flags(co, json=None)
     be = sub.add_parser(
         "bench",
         help="measure host-side simulator performance and write "
         "BENCH_simulator.json",
     )
-    be.add_argument(
-        "--json", metavar="PATH", default="BENCH_simulator.json",
-        help="output path (default: BENCH_simulator.json)",
-    )
+    _add_flags(be, json="BENCH_simulator.json")
     be.add_argument("--events", type=int, default=100_000)
     be.add_argument("--rounds", type=int, default=3)
     be.add_argument(
@@ -1991,17 +1808,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     run = sub.add_parser("run", help="run one experiment (or 'all')")
     run.add_argument("experiment", choices=[*EXPERIMENTS, "all"])
-    run.add_argument(
-        "--scale", type=int, default=8,
-        help="size divisor; 1 = full paper sizes (default: 8)",
-    )
-    run.add_argument("--json", metavar="PATH", help="dump raw numbers as JSON")
+    _add_flags(run, scale=8, json=None)
     run.add_argument(
         "--csv", metavar="DIR",
         help="also write plot-ready CSV files into DIR (fig01/03/05/06/07/08)",
     )
     args = parser.parse_args(argv)
 
+    if args.command in _GATES:
+        return _drive(_GATES[args.command], args)
     if args.command == "list":
         print(format_table(
             ["experiment", "description"],
@@ -2014,46 +1829,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "report":
         if args.campaign:
             return _report_campaign(args)
-        if args.scale < 1:
-            parser.error("--scale must be >= 1")
         return _report(args.scale, args.output)
-    if args.command == "trace":
-        if args.scale < 1:
-            parser.error("--scale must be >= 1")
-        return _run_trace(args)
-    if args.command == "critpath":
-        if args.scale < 1:
-            parser.error("--scale must be >= 1")
-        return _run_critpath(args)
-    if args.command == "faults":
-        if args.scale < 1:
-            parser.error("--scale must be >= 1")
-        return _run_faults(args)
-    if args.command == "redundancy":
-        return _run_redundancy(args)
-    if args.command == "cluster":
-        if args.scale < 1:
-            parser.error("--scale must be >= 1")
-        return _run_cluster(args)
-    if args.command == "health":
-        if args.scale < 1:
-            parser.error("--scale must be >= 1")
-        return _run_health(args)
-    if args.command == "sweep":
-        if args.scale < 1:
-            parser.error("--scale must be >= 1")
-        return _run_sweep_cmd(args)
-    if args.command == "campaign":
-        if args.scale < 1:
-            parser.error("--scale must be >= 1")
-        return _run_campaign_cmd(args)
-    if args.command == "compare":
-        return _run_compare_cmd(args)
-    if args.command == "bench":
-        return _run_bench(args)
+    commands = {
+        "trace": _run_trace,
+        "sweep": _run_sweep_cmd,
+        "campaign": _run_campaign_cmd,
+        "compare": _run_compare_cmd,
+        "bench": _run_bench,
+    }
+    if args.command in commands:
+        return commands[args.command](args)
 
-    if args.scale < 1:
-        parser.error("--scale must be >= 1")
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     payload: dict[str, dict] = {}
     for name in names:

@@ -24,6 +24,7 @@ from ..net.link import Fabric
 from ..obs.health import HealthHub
 from ..obs.metrics import MetricsHub
 from ..results import InstanceResult
+from ..runner import hpbd_recovery, watch_utilization
 from ..simulator import Simulator, StatsRegistry, all_of
 from ..units import MiB, PAGE_SIZE
 from ..workloads.base import execute
@@ -230,29 +231,10 @@ class _ClusterScenario:
             )
             tenant.queue = tenant.disk.queue
             return tenant
-        recovery: dict = {}
-        faults = cfg.faults
-        if faults is not None:
-            if faults.degraded_mode == "disk":
-                tenant.fallback_disk = DiskDevice(
-                    self.sim,
-                    name=f"{spec.name}-fallback",
-                    params=faults.fallback_disk,
-                    swap_partition_bytes=spec.swap_bytes,
-                    stats=self.stats,
-                )
-                recovery["fallback_queue"] = tenant.fallback_disk.queue
-            recovery.update(
-                request_timeout_usec=faults.request_timeout_usec,
-                max_retries=faults.max_retries,
-                retry_backoff_usec=faults.retry_backoff_usec,
-                backoff_mult=faults.backoff_mult,
-                degraded_mode=faults.degraded_mode,
-                ewma_select=faults.ewma_select,
-                hedge_reads=faults.hedge_reads,
-                hedge_k=faults.hedge_k,
-                hedge_min_usec=faults.hedge_min_usec,
-            )
+        recovery, tenant.fallback_disk = hpbd_recovery(
+            self.sim, cfg.faults, f"{spec.name}-fallback", spec.swap_bytes,
+            self.stats,
+        )
         tenant.client = HPBDClient(
             self.sim,
             tenant.node,
@@ -286,58 +268,15 @@ class _ClusterScenario:
         matching the single-node runner): tenant-prefixed names keep the
         shared registry collision-free; fleet-level server gauges ride
         on the first tenant's hub."""
-        for tenant in self.tenants:
-            spec = tenant.spec
-            metrics = MetricsHub(
-                tenant.node,
-                stats=self.stats,
-                prefix=f"obs.vmstat.{spec.name}",
+        for i, tenant in enumerate(self.tenants):
+            name = tenant.spec.name
+            tenant.metrics = MetricsHub(
+                tenant.node, stats=self.stats, prefix=f"obs.vmstat.{name}"
             )
-            tenant.metrics = metrics
-            node = tenant.node
-            metrics.watch(
-                f"{spec.name}.cpus",
-                lambda node=node: {"busy": float(node.cpus.in_use)},
+            watch_utilization(
+                tenant.metrics, f"{name}.", tenant.node, tenant.queue,
+                tenant.client, () if i else self.servers,
             )
-            queue = tenant.queue
-            metrics.watch(
-                f"{spec.name}.rq",
-                lambda queue=queue: {
-                    "in_flight": float(queue.in_flight),
-                    "ready": float(queue.dispatch_depth),
-                },
-            )
-            client = tenant.client
-            if client is not None:
-                metrics.watch(
-                    f"{spec.name}.credits",
-                    lambda client=client: {
-                        "tokens": float(
-                            sum(b.tokens for b in client._credits)
-                        ),
-                        "waiting": float(
-                            sum(b.queue_length for b in client._credits)
-                        ),
-                    },
-                )
-                metrics.watch(
-                    f"{spec.name}.pool",
-                    lambda client=client: {
-                        "free_bytes": float(client.pool.free_bytes),
-                        "waiting": float(client.pool.waiting),
-                    }
-                    if client.pool is not None
-                    else {},
-                )
-        first = self.tenants[0].metrics
-        if first is not None:
-            for srv in self.servers:
-                first.watch(
-                    f"{srv.name}.rdma",
-                    lambda srv=srv: {
-                        "slots_in_use": float(srv._rdma_slots.in_use)
-                    },
-                )
 
     # -- execution ----------------------------------------------------------
 

@@ -6,7 +6,7 @@ credit flow control, and multi-server blocking distribution.
 """
 
 from .client import HPBDClient
-from .cooperative import Advertisement, MemoryBroker, WeightedDistribution
+from .cooperative import Advertisement, MemoryBroker, lender_chunk_map
 from .pool import PoolBuffer, PoolError, RegisteredPool
 from .protocol import (
     CTRL_MSG_BYTES,
@@ -33,7 +33,7 @@ __all__ = [
     "HPBDClient",
     "MemoryBroker",
     "Advertisement",
-    "WeightedDistribution",
+    "lender_chunk_map",
     "HPBDServer",
     "RegisteredPool",
     "PoolBuffer",

@@ -320,7 +320,7 @@ class HPBDClient:
                 total_bytes, len(servers), data_chunks, parity_chunks
             )
         if distribution is not None:
-            # Custom layout (e.g. the cooperative WeightedDistribution).
+            # Custom layout (a cluster grant, the cooperative broker's).
             if distribution.total_bytes != total_bytes:
                 raise ValueError(
                     f"distribution covers {distribution.total_bytes} bytes, "

@@ -13,9 +13,10 @@ This module implements the natural design on top of the existing pieces:
   most idle memory** (the memory-ushering idea the paper cites from
   MOSIX [2]) and sizes each server's share to what it advertised —
   chunks are therefore *unequal*, unlike the static blocking layout;
-* the resulting :class:`WeightedDistribution` maps device offsets to
-  (server, offset) with contiguous per-server extents, preserving the
-  paper's non-striped blocking property.
+* :func:`lender_chunk_map` lays the device out over the grants as a
+  :class:`~repro.hpbd.striping.ChunkMapDistribution` with one contiguous
+  extent per lender, preserving the paper's non-striped blocking
+  property.
 
 Lending is capacity-reserving: a server that lends memory shrinks its
 advertisement so later clients see the truth.  Fully dynamic *revocation*
@@ -29,9 +30,9 @@ from dataclasses import dataclass
 
 from ..simulator import SimulationError, Simulator
 from ..units import MiB, PAGE_SIZE
-from .striping import Segment
+from .striping import Chunk, ChunkMapDistribution
 
-__all__ = ["Advertisement", "MemoryBroker", "WeightedDistribution"]
+__all__ = ["Advertisement", "MemoryBroker", "lender_chunk_map"]
 
 
 @dataclass
@@ -47,56 +48,16 @@ class Advertisement:
             raise ValueError(f"negative idle memory for {self.node}")
 
 
-class WeightedDistribution:
-    """Blocking layout with per-server chunk sizes.
-
-    ``shares`` maps server index → bytes; server *i*'s extent starts at
-    the running sum of earlier shares.  Interface-compatible with
-    :class:`~repro.hpbd.striping.BlockingDistribution` (``locate`` /
-    ``split`` / ``chunk_bytes`` is replaced by per-server ``share_of``).
-    """
-
-    def __init__(self, shares: list[int]) -> None:
-        if not shares:
-            raise ValueError("need at least one share")
-        if any(s <= 0 for s in shares):
-            raise ValueError(f"shares must be positive: {shares}")
-        if any(s % PAGE_SIZE for s in shares):
-            raise ValueError("shares must be page-aligned")
-        self.shares = list(shares)
-        self.nservers = len(shares)
-        self.total_bytes = sum(shares)
-        self._starts = [0]
-        for s in shares[:-1]:
-            self._starts.append(self._starts[-1] + s)
-
-    def share_of(self, server: int) -> int:
-        return self.shares[server]
-
-    def locate(self, offset: int) -> tuple[int, int]:
-        if not (0 <= offset < self.total_bytes):
-            raise ValueError(f"offset {offset} outside device")
-        # Linear scan is fine: nservers <= 16 in every experiment.
-        for i in range(self.nservers - 1, -1, -1):
-            if offset >= self._starts[i]:
-                return i, offset - self._starts[i]
-        raise AssertionError("unreachable")
-
-    def split(self, offset: int, nbytes: int) -> list[Segment]:
-        if nbytes <= 0:
-            raise ValueError(f"bad extent size {nbytes}")
-        if offset < 0 or offset + nbytes > self.total_bytes:
-            raise ValueError("extent outside device")
-        out: list[Segment] = []
-        pos = offset
-        remaining = nbytes
-        while remaining > 0:
-            server, soff = self.locate(pos)
-            take = min(remaining, self.shares[server] - soff)
-            out.append(Segment(server=server, server_offset=soff, nbytes=take))
-            pos += take
-            remaining -= take
-        return out
+def lender_chunk_map(shares: list[int]) -> ChunkMapDistribution:
+    """Blocking layout with per-server chunk sizes: server *i* (in grant
+    order) holds one extent of ``shares[i]`` bytes, starting at the
+    running sum of the earlier shares."""
+    chunks: list[Chunk] = []
+    start = 0
+    for server, nbytes in enumerate(shares):
+        chunks.append(Chunk(start, nbytes, server, 0))
+        start += nbytes
+    return ChunkMapDistribution(start, len(shares), chunks)
 
 
 class MemoryBroker:

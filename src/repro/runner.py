@@ -10,6 +10,7 @@ quiesces the VM, checks the ledgers, and returns a
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,9 +30,92 @@ from .units import MiB, bytes_to_pages, pages_to_bytes
 from .workloads.base import execute
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .config import FaultConfig
     from .obs.metrics import MetricsHub
 
 __all__ = ["run_scenario", "build_scenario"]
+
+
+def hpbd_recovery(
+    sim: Simulator,
+    faults: FaultConfig | None,
+    disk_name: str,
+    swap_bytes: int,
+    stats: StatsRegistry,
+) -> tuple[dict, DiskDevice | None]:
+    """The HPBD client's recovery keyword arguments for ``faults`` (none
+    without a fault config), plus the local fallback disk, named
+    ``disk_name``, that ``degraded_mode="disk"`` swaps to."""
+    if faults is None:
+        return {}, None
+    recovery: dict = {}
+    fallback = None
+    if faults.degraded_mode == "disk":
+        fallback = DiskDevice(
+            sim,
+            name=disk_name,
+            params=faults.fallback_disk,
+            swap_partition_bytes=swap_bytes,
+            stats=stats,
+        )
+        recovery["fallback_queue"] = fallback.queue
+    recovery.update(
+        request_timeout_usec=faults.request_timeout_usec,
+        max_retries=faults.max_retries,
+        retry_backoff_usec=faults.retry_backoff_usec,
+        backoff_mult=faults.backoff_mult,
+        degraded_mode=faults.degraded_mode,
+        ewma_select=faults.ewma_select,
+        hedge_reads=faults.hedge_reads,
+        hedge_k=faults.hedge_k,
+        hedge_min_usec=faults.hedge_min_usec,
+    )
+    return recovery, fallback
+
+
+def watch_utilization(
+    metrics: MetricsHub,
+    prefix: str,
+    node: Node,
+    queue,
+    client: HPBDClient | None,
+    servers: Sequence[HPBDServer] = (),
+) -> None:
+    """Utilization/queue-depth gauges sampled each metrics tick: the
+    node's CPUs, its request queue, the HPBD client's credits and pool,
+    then each server's RDMA slots.  ``prefix`` namespaces the node's
+    gauge names (a cluster tenant's ``"t0."``)."""
+    metrics.watch(f"{prefix}cpus", lambda: {"busy": float(node.cpus.in_use)})
+    if queue is not None:
+        metrics.watch(
+            f"{prefix}rq",
+            lambda: {
+                "in_flight": float(queue.in_flight),
+                "ready": float(queue.dispatch_depth),
+            },
+        )
+    if client is not None:
+        metrics.watch(
+            f"{prefix}credits",
+            lambda: {
+                "tokens": float(sum(b.tokens for b in client._credits)),
+                "waiting": float(sum(b.queue_length for b in client._credits)),
+            },
+        )
+        metrics.watch(
+            f"{prefix}pool",
+            lambda: {
+                "free_bytes": float(client.pool.free_bytes),
+                "waiting": float(client.pool.waiting),
+            }
+            if client.pool is not None
+            else {},
+        )
+    for srv in servers:
+        metrics.watch(
+            f"{srv.name}.rdma",
+            lambda srv=srv: {"slots_in_use": float(srv._rdma_slots.in_use)},
+        )
 
 
 class _Scenario:
@@ -118,28 +202,9 @@ class _Scenario:
                         stats=self.stats,
                     )
                 )
-            recovery: dict = {}
-            if faults is not None:
-                if faults.degraded_mode == "disk":
-                    self.fallback_disk = DiskDevice(
-                        self.sim,
-                        name="fallback_hda",
-                        params=faults.fallback_disk,
-                        swap_partition_bytes=cfg.swap_bytes,
-                        stats=self.stats,
-                    )
-                    recovery["fallback_queue"] = self.fallback_disk.queue
-                recovery.update(
-                    request_timeout_usec=faults.request_timeout_usec,
-                    max_retries=faults.max_retries,
-                    retry_backoff_usec=faults.retry_backoff_usec,
-                    backoff_mult=faults.backoff_mult,
-                    degraded_mode=faults.degraded_mode,
-                    ewma_select=faults.ewma_select,
-                    hedge_reads=faults.hedge_reads,
-                    hedge_k=faults.hedge_k,
-                    hedge_min_usec=faults.hedge_min_usec,
-                )
+            recovery, self.fallback_disk = hpbd_recovery(
+                self.sim, faults, "fallback_hda", cfg.swap_bytes, self.stats
+            )
             self.hpbd_client = HPBDClient(
                 self.sim,
                 self.node,
@@ -209,7 +274,10 @@ class _Scenario:
             if self.fault_injector is not None:
                 self.fault_injector.start()
             if self.metrics is not None:
-                self._register_watches(self.metrics)
+                watch_utilization(
+                    self.metrics, "", self.node, self.queue,
+                    self.hpbd_client, self.hpbd_servers,
+                )
                 self.metrics.start()
             t_start = sim.now
             procs = []
@@ -265,51 +333,6 @@ class _Scenario:
         proc = sim.spawn(main(sim), name="scenario")
         wall = sim.run(until=proc)
         return self._collect(results, wall)
-
-    def _register_watches(self, metrics: "MetricsHub") -> None:
-        """Utilization/queue-depth gauges sampled each metrics tick."""
-        node = self.node
-        metrics.watch(
-            "cpus", lambda: {"busy": float(node.cpus.in_use)}
-        )
-        queue = self.queue
-        if queue is not None:
-            metrics.watch(
-                "rq",
-                lambda: {
-                    "in_flight": float(queue.in_flight),
-                    "ready": float(queue.dispatch_depth),
-                },
-            )
-        client = self.hpbd_client
-        if client is not None:
-            metrics.watch(
-                "credits",
-                lambda: {
-                    "tokens": float(
-                        sum(b.tokens for b in client._credits)
-                    ),
-                    "waiting": float(
-                        sum(b.queue_length for b in client._credits)
-                    ),
-                },
-            )
-            metrics.watch(
-                "pool",
-                lambda: {
-                    "free_bytes": float(client.pool.free_bytes),
-                    "waiting": float(client.pool.waiting),
-                }
-                if client.pool is not None
-                else {},
-            )
-        for srv in self.hpbd_servers:
-            metrics.watch(
-                f"{srv.name}.rdma",
-                lambda srv=srv: {
-                    "slots_in_use": float(srv._rdma_slots.in_use)
-                },
-            )
 
     def _collect(
         self, instances: list[InstanceResult], wall: float

@@ -378,3 +378,136 @@ class TestFaultsCommand:
     def test_faults_bad_mode_rejected(self):
         with pytest.raises(SystemExit):
             main(["faults", "--mode", "sideways"])
+
+    def test_faults_disk_fallback(self, capsys):
+        assert main([
+            "faults", "--mode", "disk", "--scale", "64", "--expect-recovery",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "disk_fallbacks" in out
+        assert "invariant monitors: clean" in out
+
+
+class TestRedundancyCommand:
+    def test_rs21_recovery_replay_json(self, capsys, tmp_path):
+        report = tmp_path / "redundancy.json"
+        assert main([
+            "redundancy", "--policy", "rs(2,1)", "--expect-recovery",
+            "--replay-check", "--json", str(report),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "recovery gate: rebuilt" in out
+        assert "replay check: second run identical" in out
+        payload = json.loads(report.read_text())
+        assert payload["status"] == 0
+        assert payload["violations"] == []
+        assert payload["report"]["repair"]["rebuilds"] >= 1
+
+
+class TestBadInput:
+    """Arguments that give no valid scenario exit 2 without running."""
+
+    def test_negative_crash_count_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["redundancy", "--policy", "rs(4,2)", "--crashes", "-1"])
+        assert exc.value.code == 2
+        assert "--crashes" in capsys.readouterr().err
+
+    def test_policy_wider_than_fleet(self, capsys):
+        assert main([
+            "redundancy", "--policy", "rs(4,2)", "--nservers", "4",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: ") and "needs 6 servers" in err
+
+    def test_cluster_without_servers(self, capsys):
+        assert main(["cluster", "--nservers", "0", "--skip-baseline"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: ") and "at least one server" in err
+
+
+class _FakeResult:
+    def __init__(self, value, violations):
+        self.value = value
+        self.invariant_violations = list(violations)
+        self.trace = None
+
+
+class TestGateDriver:
+    """``_drive`` with a stub gate: no simulation, just the verdicts."""
+
+    VIOLATION = {
+        "t_usec": 1.0, "monitor": "credits", "component": "c0",
+        "message": "went negative",
+    }
+
+    def _drive(self, monkeypatch, tmp_path, values, violations=(),
+               failures=(), replay=True):
+        import argparse
+
+        from repro import cli
+
+        it = iter(values)
+        monkeypatch.setattr(
+            "repro.runner.run_scenario",
+            lambda cfg, trace=False: _FakeResult(next(it), violations),
+        )
+
+        def build(args):
+            return cli._Gate(
+                "stub run...",
+                (cli._Run("run", None),),
+                lambda results: (
+                    {"zeta": 1, "value": results["run"].value},
+                    list(failures),
+                ),
+                lambda results, payload, failures: None,
+            )
+
+        path = tmp_path / "gate.json"
+        args = argparse.Namespace(json=str(path), replay_check=replay)
+        return cli._drive(build, args), path
+
+    def test_clean_run_exits_zero(self, monkeypatch, tmp_path, capsys):
+        status, path = self._drive(monkeypatch, tmp_path, [1, 1])
+        assert status == 0
+        out = capsys.readouterr().out
+        assert "invariant monitors: clean" in out
+        assert "replay check: second run identical" in out
+        text = path.read_text()
+        assert text.endswith("\n")
+        payload = json.loads(text)
+        assert list(payload) == sorted(payload)
+        assert payload == {
+            "status": 0, "value": 1, "violations": [], "zeta": 1,
+        }
+
+    def test_failed_predicate_exits_one(self, monkeypatch, tmp_path, capsys):
+        status, path = self._drive(
+            monkeypatch, tmp_path, [1], failures=["gate tripped"],
+            replay=False,
+        )
+        assert status == 1
+        assert "ERROR: gate tripped" in capsys.readouterr().err
+        assert json.loads(path.read_text())["status"] == 1
+
+    def test_monitor_violation_exits_one(self, monkeypatch, tmp_path, capsys):
+        status, path = self._drive(
+            monkeypatch, tmp_path, [1], violations=[self.VIOLATION],
+            replay=False,
+        )
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "ERROR: 1 invariant violations:" in err
+        assert "credits [c0]: went negative" in err
+        payload = json.loads(path.read_text())
+        assert payload["violations"] == [self.VIOLATION]
+        assert payload["status"] == 1
+
+    def test_diverging_replay_exits_one(self, monkeypatch, tmp_path, capsys):
+        status, path = self._drive(monkeypatch, tmp_path, [1, 2])
+        assert status == 1
+        assert "replay diverged for the same seed (value)" in (
+            capsys.readouterr().err
+        )
+        assert json.loads(path.read_text())["status"] == 1

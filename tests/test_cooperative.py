@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hpbd import HPBDClient, HPBDServer, MemoryBroker, WeightedDistribution
+from repro.hpbd import HPBDClient, HPBDServer, MemoryBroker, lender_chunk_map
 from repro.kernel import Node
 from repro.simulator import SimulationError
 from repro.units import KiB, MiB, PAGE_SIZE
 
 
-class TestWeightedDistribution:
+class TestLenderChunkMap:
     def test_unequal_shares_layout(self):
-        d = WeightedDistribution([2 * MiB, MiB, 4 * MiB])
+        d = lender_chunk_map([2 * MiB, MiB, 4 * MiB])
         assert d.total_bytes == 7 * MiB
         assert d.locate(0) == (0, 0)
         assert d.locate(2 * MiB) == (1, 0)
@@ -20,7 +20,7 @@ class TestWeightedDistribution:
         assert d.locate(7 * MiB - 1) == (2, 4 * MiB - 1)
 
     def test_split_covers_extent(self):
-        d = WeightedDistribution([MiB, 3 * MiB])
+        d = lender_chunk_map([MiB, 3 * MiB])
         segs = d.split(MiB - 64 * KiB, 128 * KiB)
         assert len(segs) == 2
         assert segs[0].server == 0 and segs[0].nbytes == 64 * KiB
@@ -28,18 +28,16 @@ class TestWeightedDistribution:
         assert sum(s.nbytes for s in segs) == 128 * KiB
 
     def test_share_of(self):
-        d = WeightedDistribution([MiB, 2 * MiB])
+        d = lender_chunk_map([MiB, 2 * MiB])
         assert d.share_of(0) == MiB
         assert d.share_of(1) == 2 * MiB
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WeightedDistribution([])
+            lender_chunk_map([])
         with pytest.raises(ValueError):
-            WeightedDistribution([MiB, 0])
-        with pytest.raises(ValueError):
-            WeightedDistribution([MiB + 1])  # unaligned
-        d = WeightedDistribution([MiB])
+            lender_chunk_map([MiB, 0])
+        d = lender_chunk_map([MiB])
         with pytest.raises(ValueError):
             d.locate(MiB)
         with pytest.raises(ValueError):
@@ -115,7 +113,7 @@ class TestCooperativeEndToEnd:
             HPBDServer(sim, fabric, name, store_bytes=share)
             for name, share in chosen
         ]
-        dist = WeightedDistribution([share for _n, share in chosen])
+        dist = lender_chunk_map([share for _n, share in chosen])
         node = Node(sim, fabric, "client", mem_bytes=16 * MiB)
         client = HPBDClient(
             sim, node, servers, total_bytes=32 * MiB, distribution=dist
@@ -144,10 +142,10 @@ class TestCooperativeEndToEnd:
         with pytest.raises(ValueError, match="covers"):
             HPBDClient(
                 sim, node, [srv], total_bytes=8 * MiB,
-                distribution=WeightedDistribution([4 * MiB]),
+                distribution=lender_chunk_map([4 * MiB]),
             )
         with pytest.raises(ValueError, match="names"):
             HPBDClient(
                 sim, node, [srv], total_bytes=8 * MiB,
-                distribution=WeightedDistribution([4 * MiB, 4 * MiB]),
+                distribution=lender_chunk_map([4 * MiB, 4 * MiB]),
             )

@@ -117,7 +117,7 @@ class TestServerErrorReplies:
 
         sim.spawn(proc(sim))
         with pytest.raises(SimulationError, match="server error"):
-            sim.run()
+            sim.run(until=50_000.0)
 
 
 class TestTamperedMessages:
@@ -136,7 +136,7 @@ class TestTamperedMessages:
 
         sim.spawn(proc(sim))
         with pytest.raises(ProtocolError):
-            sim.run()
+            sim.run(until=50_000.0)
 
     def test_bad_rkey_caught_by_verbs_layer(self, sim, setup):
         """A request advertising a bogus rkey dies at the RDMA bounds
@@ -156,7 +156,7 @@ class TestTamperedMessages:
 
         sim.spawn(proc(sim))
         with pytest.raises(RemoteKeyError):
-            sim.run()
+            sim.run(until=50_000.0)
 
 
 class TestResourceExhaustionContainment:
@@ -205,7 +205,7 @@ class TestResourceExhaustionContainment:
 
         sim.spawn(proc(sim))
         with pytest.raises(OutOfSwap):
-            sim.run()
+            sim.run(until=1_000_000.0)
 
 
 # ---------------------------------------------------------------------------

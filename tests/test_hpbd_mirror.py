@@ -123,7 +123,7 @@ class TestReadFailover:
 
         sim.spawn(proc(sim))
         with pytest.raises(SimulationError, match="server error"):
-            sim.run()
+            sim.run(until=50_000.0)
 
 
 class TestMirrorEndToEnd:

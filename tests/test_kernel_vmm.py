@@ -260,7 +260,7 @@ class TestAccountingGuards:
 
         sim.spawn(proc(sim))
         with pytest.raises(SimulationError):
-            sim.run()
+            sim.run(until=1_000_000.0)
 
 
 class _InstantDevice:

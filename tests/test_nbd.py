@@ -210,7 +210,7 @@ class TestNBDTimeoutRecovery:
 
         sim.spawn(proc(sim))
         with pytest.raises(SimulationError, match="timed out after 3 retries"):
-            sim.run()
+            sim.run(until=50_000.0)
 
     def test_no_timeout_keeps_legacy_blocking(self, sim, setup):
         """Without a timeout the 2.4 driver blocks forever on a dead
