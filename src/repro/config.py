@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .disk.model import DiskParams, ST340014A
-from .faults.plan import FaultPlan
+from .faults.plan import FaultPlan, LinkDegrade, LinkFlap
 from .kernel.params import DEFAULT_VM_PARAMS, VMParams
 from .obs.health import HealthConfig
 from .net.fabrics import (
@@ -352,6 +352,9 @@ class ClusterScenarioConfig:
                         f"must divide across the {self.nservers}-server "
                         f"ring"
                     )
+        plan = self.faults.plan if self.faults is not None else None
+        if plan is not None:
+            self._check_fault_targets(plan, names)
         if self.migration_throttle_mib_s is not None:
             if self.migration_throttle_mib_s <= 0:
                 raise ValueError(
@@ -378,4 +381,23 @@ class ClusterScenarioConfig:
                 raise ValueError(
                     f"tenant {t.name}: memory {t.mem_bytes} does not cover "
                     f"the kernel reserve {self.mem_reserved_bytes}"
+                )
+
+    def _check_fault_targets(self, plan: FaultPlan, tenants: list[str]) -> None:
+        """Reject a plan naming a server or port the fleet lacks: the
+        injector would otherwise fail only when the fault comes due."""
+        nodes = {f"mem{i}" for i in range(self.nservers)} | set(tenants)
+        for ev in plan.events:
+            if isinstance(ev, (LinkFlap, LinkDegrade)):
+                if ev.node not in nodes:
+                    raise ValueError(
+                        f"fault plan targets node {ev.node!r}; the fleet's "
+                        f"nodes are {', '.join(sorted(nodes))}"
+                    )
+            elif not (
+                isinstance(ev.server, int) and 0 <= ev.server < self.nservers
+            ):
+                raise ValueError(
+                    f"fault plan targets server {ev.server!r}; the fleet "
+                    f"has {self.nservers} servers"
                 )

@@ -23,6 +23,8 @@ Key behaviours modelled:
 
 from __future__ import annotations
 
+from math import inf
+
 from ..ib import HCA, RDMAReadWR, RDMAWriteWR, RecvWR, SendWR
 from ..kernel.task import CPUSet
 from ..net.fabrics import IBParams, IB_DEFAULT
@@ -251,13 +253,24 @@ class HPBDServer:
                 last_active = sim.now
                 self._dispatch(cqe)
                 continue
-            if (
-                self.busy_handlers > 0
-                or sim.now - last_active < self.idle_sleep_usec
-            ):
+            busy = self.busy_handlers > 0
+            idle = self.idle_sleep_usec
+            if busy or sim.now - last_active < idle:
                 # Busy spin: cheap CQ polls while work is in flight or
-                # within the 200 µs idle window.
-                yield sim.timeout(self.poll_interval_usec)
+                # within the 200 µs idle window.  Only a firing entry can
+                # push a CQE or end a handler, so each poll before the
+                # queue head would spin again unchanged: post only the
+                # first poll at or after the head, or the one that finds
+                # the idle window closed.  The grid repeats the loop's
+                # own additions, so each kept poll lands where it did.
+                # A busy server facing an empty queue spins as before.
+                poll = self.poll_interval_usec
+                t = sim.now + poll
+                head = sim._head()[0]
+                if head < inf or not busy:
+                    while t < head and (busy or t - last_active < idle):
+                        t += poll
+                yield sim.timeout_at(t)
                 continue
             # Idle long enough: yield the CPU until a solicited event.
             self.sleeps += 1

@@ -16,12 +16,19 @@ order to the driver.
 
 Drivers (HPBD client, NBD client, local disk) consume requests from
 :meth:`RequestQueue.next_request` and call :meth:`RequestQueue.complete`.
+
+A bio completes through either its ``end_io`` callback (the kernel's
+``bi_end_io``; the VM's write-back and swap-in bios) or its ``done``
+event (a process waiting on one bio).  ``complete`` runs each run of
+adjacent ``end_io`` bios from one event, and succeeds each ``done``
+event on its own, all in bio order.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..simulator import Event, SimulationError, Simulator, StatsRegistry
@@ -38,20 +45,27 @@ _req_ids = itertools.count(1)
 
 @dataclass
 class Bio:
-    """One unit of block I/O from the VM (a page, for swap traffic)."""
+    """One unit of block I/O from the VM (a page, for swap traffic).
+
+    Exactly one of ``done`` (an event succeeded with the bio) and
+    ``end_io`` (called with the bio) reports its completion.
+    """
 
     op: str
     sector: int
     nsectors: int
-    done: Event
+    done: Event | None = None
     submit_time: float = 0.0
     bio_id: int = field(default_factory=lambda: next(_bio_ids))
+    end_io: Callable[["Bio"], None] | None = None
 
     def __post_init__(self) -> None:
         if self.op not in (READ, WRITE):
             raise ValueError(f"bad bio op {self.op!r}")
         if self.nsectors < 1 or self.sector < 0:
             raise ValueError(f"bad bio geometry {self.sector}+{self.nsectors}")
+        if (self.done is None) == (self.end_io is None):
+            raise ValueError("a bio needs exactly one of done and end_io")
 
     @property
     def end_sector(self) -> int:
@@ -122,6 +136,7 @@ class RequestQueue:
         self._ready_reads: list[BlockRequest] = []
         self._ready_writes: list[BlockRequest] = []
         self._getters: "deque[Event]" = deque()
+        self._next_name = f"{name}.next"
         self._plugged = False
         self._plug_seq = 0  # invalidates stale plug timers
         self._last_dispatch_sector = 0
@@ -139,8 +154,9 @@ class RequestQueue:
 
     # -- submission (VM side) ----------------------------------------------
 
-    def submit_bio(self, bio: Bio) -> Event:
-        """Queue one bio; returns its completion event."""
+    def submit_bio(self, bio: Bio) -> Event | None:
+        """Queue one bio; returns its completion event (None for an
+        ``end_io`` bio)."""
         if bio.end_sector > self.capacity_sectors:
             raise SimulationError(
                 f"{self.name}: bio beyond device end "
@@ -249,7 +265,7 @@ class RequestQueue:
     def next_request(self) -> Event:
         """Event yielding the next request, reads preferred (2.4
         elevator read bias)."""
-        evt = Event(self.sim, name=f"{self.name}.next")
+        evt = self.sim.event(self._next_name)
         if self._ready_reads or self._ready_writes:
             evt.succeed(self._pop_ready())
         else:
@@ -266,7 +282,15 @@ class RequestQueue:
         return len(self._ready_reads) + len(self._ready_writes)
 
     def complete(self, req: BlockRequest) -> None:
-        """Finish a request: completes every merged bio's event."""
+        """Finish a request: complete every merged bio, in bio order.
+
+        Each run of adjacent ``end_io`` bios completes from one event
+        that calls their callbacks in turn, each ``done`` bio from its
+        own event.  The callbacks firing back to back from one event
+        instead of from consecutive ones is exact as long as they post
+        no URGENT entry, since only that could fire between two
+        consecutive events of the same instant.
+        """
         self.in_flight -= 1
         if self.in_flight < 0:
             self.sim.monitors.violation(
@@ -286,9 +310,26 @@ class RequestQueue:
                 req_id=req.req_id, op=req.op, sector=req.sector,
                 nbytes=req.nbytes,
             )
-        for bio in req.bios:
-            bio.done.succeed(bio)
+        for by_event, bios in itertools.groupby(
+            req.bios, key=lambda bio: bio.done is not None
+        ):
+            if by_event:
+                for bio in bios:
+                    bio.done.succeed(bio)
+            else:
+                self._end_io(list(bios))
         self.bios_completed += len(req.bios)
+
+    def _end_io(self, bios: list[Bio]) -> None:
+        """Post one event that runs ``bios``' ``end_io`` callbacks in order."""
+
+        def end_io(_evt: Event) -> None:
+            for bio in bios:
+                bio.end_io(bio)
+
+        evt = self.sim.event("end_io")
+        evt.callbacks.append(end_io)
+        evt.succeed()
 
     def audit_teardown(self) -> None:
         """Invariant monitors for a quiesced queue (runner teardown):

@@ -345,17 +345,9 @@ class VMM:
         for run in _contiguous_runs(group):
             first_slot = run[0][0]
             nslots = len(run)
-            bio_done = self.sim.event("swapin_bio")
-            bio = Bio(
-                op=READ,
-                sector=area.slot_to_sector(first_slot),
-                nsectors=nslots * SECTORS_PER_PAGE,
-                done=bio_done,
-            )
-            run_copy = list(run)
 
-            def on_read_done(_evt: Event, run_copy=run_copy) -> None:
-                for s, owner, opage in run_copy:
+            def on_read_done(_bio: Bio, run=run) -> None:
+                for s, owner, opage in run:
                     owner.resident[opage] = True
                     owner.dirty[opage] = False
                     pend = owner.swapin_pending.pop(opage)
@@ -363,8 +355,14 @@ class VMM:
                     if pend is not None:
                         pend.succeed(None)
 
-            bio_done.callbacks.append(on_read_done)
-            area.queue.submit_bio(bio)
+            area.queue.submit_bio(
+                Bio(
+                    op=READ,
+                    sector=area.slot_to_sector(first_slot),
+                    nsectors=nslots * SECTORS_PER_PAGE,
+                    end_io=on_read_done,
+                )
+            )
         # Demand read: unplug immediately, like the 2.4 wait-on-page path.
         area.queue.unplug()
         yield target_evt
@@ -474,15 +472,8 @@ class VMM:
             for page, slot in zip(chunk[order], slots[order]):
                 page = int(page)
                 aspace.writeback[page] = None
-                bio_done = self.sim.event("wb_bio")
-                bio = Bio(
-                    op=WRITE,
-                    sector=area.slot_to_sector(int(slot)),
-                    nsectors=SECTORS_PER_PAGE,
-                    done=bio_done,
-                )
 
-                def on_write_done(_e: Event, aspace=aspace, page=page) -> None:
+                def on_write_done(_bio: Bio, aspace=aspace, page=page) -> None:
                     self.wb_inflight -= 1
                     evt = aspace.writeback.pop(page)
                     self.frames.release(1)
@@ -490,8 +481,14 @@ class VMM:
                         evt.succeed(None)
                     self.wb_waiters.wake_all()
 
-                bio_done.callbacks.append(on_write_done)
-                area.queue.submit_bio(bio)
+                area.queue.submit_bio(
+                    Bio(
+                        op=WRITE,
+                        sector=area.slot_to_sector(int(slot)),
+                        nsectors=SECTORS_PER_PAGE,
+                        end_io=on_write_done,
+                    )
+                )
         trace = self.sim.trace
         if trace.enabled:
             # Slot allocation + bio submission; the writes themselves

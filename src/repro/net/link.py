@@ -134,8 +134,10 @@ class Fabric:
             yield down._up_wq.wait()
         # tx and rx pools are disjoint resource classes, so taking one of
         # each in a fixed (tx-then-rx) order cannot form a cycle.
-        yield src.tx.acquire()
-        yield dst.rx.acquire()
+        if not src.tx.grant_inline():
+            yield src.tx.acquire()
+        if not dst.rx.grant_inline():
+            yield dst.rx.acquire()
         t_wire = self.sim.now
         # Degradation multipliers are 1.0 on healthy ports, so the
         # products below are exact no-ops outside fault scenarios.

@@ -48,6 +48,17 @@ the structure, so they cannot change the firing order:
   flag; the drain loop discards tombstoned entries when they surface, so
   cancelling a retransmit guard is O(1) and never touches the structure.
 
+One query lets components skip events whose place in the firing order
+is already fixed.  While a process runs that the drain loop resumed as
+the sole waiter of a callback-free event other than ``run()``'s
+``until``, the loop's next act is to pop the queue head, so
+:meth:`Simulator._head` (the entry it pops next) tells the process
+whether an event it posts now would fire before anything else.  An event
+that would fire next, with nothing posted in between, is equivalent to
+running its waiter inline: ``seq`` gains a gap and every other entry
+keeps its relative order.  ``Resource.grant_inline`` and the HPBD
+server's poll skip build on it.
+
 Allocation notes carried over from PR 2: callbacks are plain lists,
 events use ``__slots__``, and the loop keeps free lists of ``Timeout``
 and plain ``Event`` objects, recycling an event after its callbacks have
@@ -104,6 +115,7 @@ _PENDING = object()
 _PRIO_SHIFT = 52
 _URGENT_BASE = URGENT << _PRIO_SHIFT
 _NORMAL_BASE = NORMAL << _PRIO_SHIFT
+_LAZY_BASE = LAZY << _PRIO_SHIFT
 #: ``run(until=<float>)`` parks a sentinel at the deadline with a key
 #: above every real priority so all real events at that instant fire
 #: first.
@@ -121,6 +133,8 @@ _INV_W = 0.125
 _NBUCKETS = 512
 
 _INF = float("inf")
+#: ``_head()``'s answer for an empty queue.
+_NO_ENTRY = (_INF, 0, None)
 
 _getrefcount = sys.getrefcount
 _heappush = heapq.heappush
@@ -500,14 +514,20 @@ class Simulator:
         self._far: list[tuple[float, int, Event]] = []
         self._cur_end = _W
         self._horizon = _NBUCKETS * _W
+        #: True exactly while a process runs that the drain loop resumed
+        #: as the sole waiter of a callback-free event other than
+        #: ``run()``'s ``until`` — when ``_head`` is the next pop.
+        self._sole = False
         if scheduler is None:
             scheduler = os.environ.get("REPRO_SCHEDULER", "wheel")
         if scheduler == "wheel":
             self._post = self._wheel_post
             self._pop_struct = self._wheel_pop
+            self._head = self._wheel_head
         elif scheduler == "heap":
             self._post = self._heap_post
             self._pop_struct = self._heap_pop
+            self._head = self._heap_head
         else:
             raise ValueError(
                 f"unknown scheduler {scheduler!r} (expected 'wheel' or 'heap')"
@@ -633,6 +653,42 @@ class Simulator:
         self._nstruct -= 1
         return _heappop(cur)
 
+    # -- the next-pop query -------------------------------------------------
+
+    # ``_head()`` (bound to the backend's variant) returns the
+    # ``(time, key, event)`` entry the drain loop pops next — tombstones
+    # included, so a caller may under-skip but never over-skip — or
+    # ``_NO_ENTRY`` when the queue is empty.  Outside a ``_sole`` resume
+    # the loop may run other code first (the resumed event's remaining
+    # callbacks, or the caller of ``run()``), so the answer is then
+    # "an URGENT entry is due now", which sends every caller down its
+    # posting path.
+
+    def _heap_head(self) -> "tuple[float, int, Event | None]":
+        if not self._sole:
+            return (self.now, _URGENT_BASE, None)
+        solo = self._solo
+        if solo is not None:
+            return solo
+        heap = self._heap
+        return heap[0] if heap else _NO_ENTRY
+
+    def _wheel_head(self) -> "tuple[float, int, Event | None]":
+        if not self._sole:
+            return (self.now, _URGENT_BASE, None)
+        solo = self._solo
+        if solo is not None:
+            return solo
+        if self._cur:
+            return self._cur[0]
+        # _cur can be empty while entries due now sit in a wheel bucket:
+        # a solo pop may have moved the clock past _cur_end.  Every
+        # bucket entry lies below every overflow entry.
+        if self._occupied:
+            return min(self._buckets[self._occupied[0] % _NBUCKETS])
+        far = self._far
+        return far[0] if far else _NO_ENTRY
+
     # -- factory helpers -------------------------------------------------
 
     # Pool invariants (kept by every recycle site so the reinit paths
@@ -665,6 +721,29 @@ class Simulator:
             self._post(when, _NORMAL_BASE + self._seq, to)
             return to
         return Timeout(self, delay, value)
+
+    def timeout_at(self, when: float) -> Timeout:
+        """A timeout that fires at the absolute time ``when`` (>= now).
+
+        Exact where ``timeout(when - now)`` is not: in binary floating
+        point ``now + (when - now)`` need not equal ``when``.
+        """
+        delay = when - self.now
+        if not (delay >= 0.0 and when < _INF):
+            raise _bad_delay(self.now, delay)
+        pool = self._timeout_pool
+        if pool:
+            to = pool.pop()
+            to._value = None
+        else:
+            to = Timeout.__new__(Timeout)
+            Event.__init__(to, self, "timeout")
+            to._ok = True
+            to._value = None
+        to.delay = delay
+        self._seq += 1
+        self._post(when, _NORMAL_BASE + self._seq, to)
+        return to
 
     def _internal_event(
         self,
@@ -922,6 +1001,8 @@ class Simulator:
                     gen = owner._gen
                     prev = self.active_process
                     self.active_process = owner
+                    sole = not callbacks and event is not until
+                    self._sole = sole
                     try:
                         if event._ok:
                             target = gen.send(event._value)
@@ -934,12 +1015,13 @@ class Simulator:
                         # touching owner/_waiting_on — nothing else can
                         # run between two solo events, so that
                         # bookkeeping is unobservable.  Entered only
-                        # when the outer event had no callbacks, so no
-                        # waiter is delayed past its firing time.
+                        # for a sole resume: no callback of the outer
+                        # event is delayed past its firing time, and a
+                        # resume by ``until`` still ends the drain.
                         while (
                             target.__class__ is Timeout
                             and self._nstruct == 0
-                            and not callbacks
+                            and sole
                             and (solo := self._solo) is not None
                             and solo[2] is target
                             and not target.cancelled
@@ -970,9 +1052,11 @@ class Simulator:
                             spare = None
                     except BaseException as exc:
                         self.active_process = prev
+                        self._sole = False
                         owner._terminate(exc)
                     else:
                         self.active_process = prev
+                        self._sole = False
                         if target.__class__ is Timeout:
                             tcb = target.callbacks
                             if (

@@ -4,7 +4,9 @@ Everything here is FIFO and deterministic.  The primitives map directly
 onto kernel objects in the modelled system:
 
 * :class:`Resource` — counted resource (CPU, DMA engines, outstanding-RDMA
-  slots).  ``yield res.acquire()`` / ``res.release()``.
+  slots).  ``yield res.acquire()`` / ``res.release()``; hot callers try
+  ``res.grant_inline()`` first and yield ``acquire()`` only when it
+  refuses.
 * :class:`Mutex` — a Resource of capacity 1; models spinlocks guarding the
   HPBD request queue and buffer pool.
 * :class:`Store` — an unbounded FIFO queue of items with blocking ``get``;
@@ -20,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from .core import Event, Simulator
+from .core import _LAZY_BASE, Event, Simulator
 from .errors import SimulationError
 
 __all__ = ["Resource", "Mutex", "Store", "WaitQueue", "TokenBucket"]
@@ -90,6 +92,30 @@ class Resource:
             self._waiters.append((evt, units))
         return evt
 
+    def grant_inline(self, units: int = 1) -> bool:
+        """Take ``units`` without an event, or return False.
+
+        Succeeds only when :meth:`acquire` would grant at once *and* its
+        grant event, succeeded now at NORMAL priority, would be the next
+        event to fire (the queue head is not due now at URGENT or NORMAL
+        priority; see ``Simulator._head``).  The caller then continues
+        exactly where the grant would have resumed it.  On False, yield
+        ``acquire(units)`` as usual.
+        """
+        if units < 1 or units > self.capacity:
+            raise ValueError(
+                f"{self.name}: cannot acquire {units} of {self.capacity}"
+            )
+        if self._waiters or self._available < units:
+            return False
+        sim = self.sim
+        when, key, _event = sim._head()
+        if when <= sim.now and key < _LAZY_BASE:
+            return False
+        self._account()
+        self._available -= units
+        return True
+
     def try_acquire(self, units: int = 1) -> bool:
         """Non-blocking acquire; True on success."""
         if units < 1 or units > self.capacity:
@@ -157,6 +183,7 @@ class Store:
     def __init__(self, sim: Simulator, name: str = "") -> None:
         self.sim = sim
         self.name = name or "store"
+        self._get_name = f"{self.name}.get"
         self._items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
         self.total_put = 0
@@ -194,7 +221,7 @@ class Store:
             self.max_depth = len(self._items)
 
     def get(self) -> Event:
-        evt = Event(self.sim, name=f"{self.name}.get")
+        evt = self.sim.event(self._get_name)
         if self._items:
             evt.succeed(self._items.popleft())
         else:
@@ -225,6 +252,7 @@ class WaitQueue:
     def __init__(self, sim: Simulator, name: str = "", latch: bool = False) -> None:
         self.sim = sim
         self.name = name or "waitqueue"
+        self._wait_name = f"{self.name}.wait"
         self.latch = latch
         self._waiters: deque[Event] = deque()
         self._pending_token = False
@@ -235,7 +263,7 @@ class WaitQueue:
         return len(self._waiters)
 
     def wait(self) -> Event:
-        evt = Event(self.sim, name=f"{self.name}.wait")
+        evt = self.sim.event(self._wait_name)
         if self.latch and self._pending_token:
             self._pending_token = False
             evt.succeed(None)
@@ -285,6 +313,7 @@ class TokenBucket:
             raise ValueError("token bucket needs at least one token")
         self.sim = sim
         self.name = name or f"credits({tokens})"
+        self._acquire_name = f"{self.name}.acquire"
         self.capacity = tokens
         self._tokens = tokens
         self._waiters: deque[tuple[Event, int]] = deque()
@@ -301,7 +330,7 @@ class TokenBucket:
     def acquire(self, n: int = 1) -> Event:
         if n < 1 or n > self.capacity:
             raise ValueError(f"{self.name}: bad credit count {n}")
-        evt = Event(self.sim, name=f"{self.name}.acquire")
+        evt = self.sim.event(self._acquire_name)
         if not self._waiters and self._tokens >= n:
             self._tokens -= n
             if self._tokens < 0:

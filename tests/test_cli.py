@@ -425,6 +425,20 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("ERROR: ") and "at least one server" in err
 
+    def test_health_plan_degrades_missing_server(self, capsys):
+        # The fail-slow plan degrades mem1's link; one server has no mem1.
+        assert main(["health", "--nservers", "1", "--scale", "256"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: ") and "'mem1'" in err
+
+    def test_redundancy_crash_beyond_fleet(self, capsys):
+        # nway crashes aim at servers 2 and 4; a 2-server ring has neither.
+        assert main([
+            "redundancy", "--policy", "nway(2)", "--nservers", "2",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: ") and "server 2" in err
+
 
 class _FakeResult:
     def __init__(self, value, violations):

@@ -424,3 +424,63 @@ class TestTiming:
         connect(sim, client)
         do_io(sim, client, WRITE, sector=0, nsectors=256)
         assert client.copy_usec > 0
+
+
+class TestPollSkip:
+    """The daemon's busy poll skips polls that could see nothing, yet
+    sleeps and dispatches at the instants the per-poll loop would."""
+
+    def _server(self, per_poll: bool):
+        from repro.ib import CQE, Opcode
+        from repro.net import Fabric
+        from repro.simulator import Simulator
+
+        sim = Simulator()
+        if per_poll:
+            # _head refusing every time is the one-event-per-poll loop
+            sim._head = lambda: (sim.now, 0, None)
+        srv = HPBDServer(sim, Fabric(sim), "mem0", store_bytes=MiB)
+        log = []
+        arm = srv.recv_cq.request_notify
+
+        def request_notify(*args, **kwargs):  # called right after sleeps += 1
+            log.append(("sleep", sim.now, srv.sleeps))
+            arm(*args, **kwargs)
+
+        srv.recv_cq.request_notify = request_notify
+        srv._dispatch = lambda cqe: log.append(("dispatch", sim.now))
+        sim.run(until=sim.spawn(srv.start()))
+
+        def push():
+            srv.recv_cq.push(CQE(opcode=Opcode.RECV, wr_id=0, qp_num=0))
+
+        return sim, srv, log, push
+
+    def test_idle_server_posts_o1_polls(self):
+        runs = {}
+        for per_poll in (False, True):
+            sim, srv, log, _push = self._server(per_poll)
+            t0, before = sim.now, sim.events_processed
+            sim.run(until=t0 + 1_000.0)
+            runs[per_poll] = (log, sim.events_processed - before)
+        (skip_log, skip_events), (poll_log, poll_events) = runs[False], runs[True]
+        assert skip_log == poll_log
+        [(_sleep, t_sleep, sleeps)] = skip_log
+        assert sleeps == 1 and t0 + 200.0 <= t_sleep < t0 + 205.0
+        assert poll_events >= 40  # one per 5 µs poll of the idle window
+        assert skip_events <= 3
+
+    def test_request_posted_between_runs_dispatches_on_the_grid(self):
+        runs = {}
+        for per_poll in (False, True):
+            sim, srv, log, push = self._server(per_poll)
+            t0 = sim.now
+            sim.run(until=t0 + 52.5)  # mid idle window, between two polls
+            push()
+            sim.run(until=t0 + 1_000.0)
+            runs[per_poll] = (t0, log)
+        assert runs[False] == runs[True]
+        t0, log = runs[False]
+        (_d, t_dispatch), (_s, t_sleep, _n) = log
+        assert t0 + 52.5 < t_dispatch < t0 + 57.5  # the next 5 µs poll
+        assert t_dispatch + 200.0 <= t_sleep < t_dispatch + 205.0

@@ -205,3 +205,64 @@ class TestCompletion:
         assert {op for (_t, op, _n) in trace} == {READ, WRITE}
         assert rq.stats.get("rq.req_bytes.write").total == 8192
         assert rq.stats.get("rq.req_bytes.read").total == 4096
+
+
+class TestEndIo:
+    """``end_io`` bios (the VM's) complete a request from one event."""
+
+    def _request(self, sim, rq, bios):
+        for b in bios:
+            rq.submit_bio(b)
+        rq.unplug()
+        req = rq.try_next_request()
+        assert req.bios == bios  # one merged request, in sector order
+        sim.run()  # the (now stale) plug timer
+        return req
+
+    def test_bio_needs_exactly_one_completion(self, sim):
+        with pytest.raises(ValueError):
+            Bio(op=READ, sector=0, nsectors=8)
+        with pytest.raises(ValueError):
+            Bio(op=READ, sector=0, nsectors=8, done=Event(sim),
+                end_io=lambda b: None)
+
+    def test_32_bio_request_completes_in_one_event(self, sim):
+        rq = make_queue(sim)
+        order = []
+        bios = [
+            Bio(op=WRITE, sector=i * SECTORS_PER_PAGE, nsectors=SECTORS_PER_PAGE,
+                end_io=lambda b: order.append((sim.now, b.sector)))
+            for i in range(32)
+        ]
+        assert sum(b.nbytes for b in bios) == MAX_REQUEST_SECTORS * 512
+        req = self._request(sim, rq, bios)
+        before = sim.events_processed
+        rq.complete(req)
+        sim.run()
+        assert sim.events_processed - before == 1
+        assert order == [(sim.now, b.sector) for b in bios]
+        assert rq.bios_completed == 32
+
+    def test_done_bios_keep_one_event_each_in_bio_order(self, sim):
+        rq = make_queue(sim)
+        order = []
+
+        def end_io(b):
+            order.append(b.sector)
+
+        bios = []
+        for i, kind in enumerate("eedeed"):
+            b = Bio(op=WRITE, sector=i * SECTORS_PER_PAGE,
+                    nsectors=SECTORS_PER_PAGE,
+                    **({"end_io": end_io} if kind == "e" else {"done": Event(sim)}))
+            if kind == "d":
+                b.done.callbacks.append(lambda _e, s=b.sector: order.append(s))
+            bios.append(b)
+        req = self._request(sim, rq, bios)
+        before = sim.events_processed
+        rq.complete(req)
+        sim.run()
+        # runs [e e] [d] [e e] [d]: two end_io events, two done events
+        assert sim.events_processed - before == 4
+        assert order == [b.sector for b in bios]
+        assert all(b.done.processed for b in bios if b.done is not None)

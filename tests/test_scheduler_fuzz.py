@@ -15,7 +15,14 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator import LAZY, NORMAL, URGENT, Simulator
+from repro.simulator import (
+    LAZY,
+    NORMAL,
+    URGENT,
+    Resource,
+    SimulationError,
+    Simulator,
+)
 from repro.simulator.core import _NBUCKETS, _W
 
 HORIZON = _NBUCKETS * _W
@@ -130,3 +137,133 @@ def test_wheel_fires_in_heap_order(program):
     wheel = _execute(program, "wheel")
     assert wheel == _execute(program, "heap")
     assert all(label != "cancelled" for _t, label in wheel[0])
+
+
+# -- next-to-fire elision --------------------------------------------------
+#
+# ``Resource.grant_inline`` skips a grant event that would fire next.
+# The property: random process mixes fire the same (time, who, step)
+# trace with the elision as with ``_head`` refusing every time (the
+# plain event path), on both backends.
+#
+# A process step is a tuple whose first field names it:
+#   ("sleep", delay)
+#   ("grant", res, units, hold)  take units (inline if it would fire
+#                                next), hold them, release them
+#   ("post", prio, n)            n fresh logged events succeeded now
+#   ("wait", k)                  wait on shared event k
+#   ("fire", k, prio, ncb)       give shared event k ncb logging
+#                                callbacks, then succeed it at prio
+# Splits run the program in pieces: ("t", time) is run(until=time),
+# ("e", k) run(until=shared event k).
+
+NSHARED = 2
+# Few distinct delays, so processes meet at the same instants; 10 ms
+# alone in the queue is the solo jump past the wheel's current bucket.
+SHORT = st.sampled_from((0.0, 0.0, 1.0, 2.5, _W, 3 * _W, 10_000.0))
+GRANT = st.tuples(
+    st.just("grant"), st.integers(0, 1), st.integers(1, 2), SHORT
+)
+STEPS = st.one_of(  # a repeated entry is drawn twice as often
+    st.tuples(st.just("sleep"), SHORT),
+    GRANT,
+    GRANT,
+    st.tuples(st.just("post"), PRIORITIES, st.integers(1, 2)),
+    st.tuples(st.just("wait"), st.integers(0, NSHARED - 1)),
+    st.tuples(
+        st.just("fire"), st.integers(0, NSHARED - 1), PRIORITIES,
+        st.sampled_from((0, 0, 1, 2)),
+    ),
+)
+MIXES = st.tuples(
+    st.lists(st.integers(1, 2), min_size=2, max_size=2),  # capacities
+    st.lists(st.lists(STEPS, min_size=1, max_size=7), min_size=1, max_size=4),
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("t"), st.sampled_from((0.0, 1.0, _W, 20.0))),
+            st.tuples(st.just("e"), st.integers(0, NSHARED - 1)),
+            st.tuples(st.just("e"), st.integers(0, NSHARED - 1)),
+        ),
+        max_size=3,
+    ),
+)
+
+
+def _refuse(sim):
+    """``_head``'s answer outside a sole resume: an URGENT entry due now."""
+    return lambda: (sim.now, 0, None)
+
+
+def _execute_mix(mix, scheduler: str, elide: bool):
+    capacities, procs, splits = mix
+    sim = Simulator(scheduler=scheduler)
+    if not elide:
+        sim._head = _refuse(sim)
+    resources = [Resource(sim, cap) for cap in capacities]
+    shared = [sim.event(f"shared{k}") for k in range(NSHARED)]
+    log = []
+    labels = iter(range(1_000_000))
+    inline = 0
+
+    def logged(event):
+        label = next(labels)
+        event.callbacks.append(lambda _e: log.append((sim.now, "cb", label)))
+
+    def body(pid, steps):
+        nonlocal inline
+        for i, step in enumerate(steps):
+            kind = step[0]
+            if kind == "sleep":
+                yield sim.timeout(step[1])
+            elif kind == "grant":
+                res = resources[step[1]]
+                units = min(step[2], res.capacity)
+                if res.grant_inline(units):
+                    inline += 1
+                else:
+                    yield res.acquire(units)
+                log.append((sim.now, pid, i, "got"))
+                if step[3]:
+                    yield sim.timeout(step[3])
+                res.release(units)
+            elif kind == "post":
+                for _ in range(step[2]):
+                    evt = sim.event("post")
+                    logged(evt)
+                    evt.succeed(priority=step[1])
+            elif kind == "wait":
+                yield shared[step[1]]
+            else:  # fire
+                evt = shared[step[1]]
+                if evt.callbacks is not None:
+                    for _ in range(step[3]):
+                        logged(evt)
+                if not evt.triggered:
+                    evt.succeed(priority=step[2])
+            log.append((sim.now, pid, i))
+
+    for pid, steps in enumerate(procs):
+        sim.spawn(body(pid, steps))
+    for kind, arg in splits:
+        if kind == "t":
+            if arg >= sim.now:
+                sim.run(until=arg)
+                log.append((sim.now, "until"))
+        else:
+            try:
+                sim.run(until=shared[arg])
+                log.append((sim.now, "until", arg))
+            except SimulationError:
+                log.append((sim.now, "dry", arg))
+    sim.run()
+    return (log, sim.now), inline
+
+
+@given(MIXES)
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+def test_inline_grants_fire_in_event_order(mix):
+    reference, inline = _execute_mix(mix, "heap", elide=False)
+    assert inline == 0  # a refusing query takes no grant inline
+    for scheduler in ("heap", "wheel"):
+        assert _execute_mix(mix, scheduler, elide=False) == (reference, 0)
+        assert _execute_mix(mix, scheduler, elide=True)[0] == reference

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulator import NORMAL, URGENT, Simulator, Timeout
+from repro.simulator import LAZY, NORMAL, URGENT, Resource, Simulator, Timeout
 from repro.simulator.core import _NBUCKETS, _W
 from repro.simulator.errors import NonFiniteTime, SchedulingInPast, SimulationError
 
@@ -305,6 +305,115 @@ class TestRunUntilMarker:
         before = sim.events_processed
         sim.run(until=10.0)
         assert sim.events_processed == before + 1
+
+
+    def test_run_until_event_stops_before_its_waiter_sleeps(self, scheduler):
+        """A process resumed by ``until`` that then sleeps alone in the
+        queue must not be carried on by the fused solo spin."""
+        sim = make_sim(scheduler)
+        wake = sim.event("wake")
+        ticks = []
+
+        def sleeper(sim):
+            yield wake
+            for _ in range(3):
+                yield sim.timeout(10.0)
+                ticks.append(sim.now)
+
+        sim.spawn(sleeper(sim))
+        sim.run(until=1.0)
+        wake.succeed()
+        sim.run(until=wake)
+        assert (sim.now, ticks) == (1.0, [])
+        sim.run()
+        assert ticks == [11.0, 21.0, 31.0]
+
+
+class TestNextPopQuery:
+    """``Simulator._head`` and the elisions built on it."""
+
+    @pytest.mark.parametrize("delay", [1_000.0, 10_000.0])
+    def test_head_after_solo_jump(self, scheduler, delay):
+        """A solo timeout moves the clock past the current bucket, so the
+        next two posts land in a wheel bucket (1 ms) or the overflow
+        heap (10 ms) while ``_cur`` stays empty: the head is still due
+        now, and a grant must not be taken inline."""
+        sim = make_sim(scheduler)
+        res = Resource(sim, 1)
+        order = []
+
+        def proc(sim):
+            yield sim.timeout(delay)
+            for i in range(2):
+                evt = sim.event("post")
+                evt.callbacks.append(lambda _e, i=i: order.append(i))
+                evt.succeed()
+            if scheduler == "wheel":
+                assert not sim._cur and sim.now >= sim._cur_end
+            assert sim._head()[0] == sim.now == delay
+            assert not res.grant_inline()
+            yield res.acquire()
+            order.append("granted")
+            res.release()
+
+        sim.run(until=sim.spawn(proc(sim)))
+        assert order == [0, 1, "granted"]
+
+    def test_grant_taken_inline_when_it_fires_next(self, scheduler):
+        sim = make_sim(scheduler)
+        res = Resource(sim, 2)
+        seen = []
+
+        def proc(sim):
+            yield sim.timeout(5.0)
+            seen.append(res.grant_inline(2))
+            seen.append(res.grant_inline())  # no units left
+            res.release(2)
+            evt = sim.event("lazy")
+            evt.succeed(priority=LAZY)  # a LAZY entry now does not block
+            seen.append(res.grant_inline())
+            res.release()
+
+        sim.run(until=sim.spawn(proc(sim)))
+        assert seen == [True, False, True]
+        assert res.utilization() == 0.0  # held for no simulated time
+
+    def test_no_inline_grant_outside_a_sole_resume(self, scheduler):
+        """The resumed event still has a callback to run, or is the
+        ``until`` of ``run()``: the query answers "URGENT due now"."""
+        sim = make_sim(scheduler)
+        res = Resource(sim, 1)
+        wake = [sim.event("w0"), sim.event("w1")]
+        seen = []
+
+        def proc(sim):
+            yield wake[0]
+            seen.append(res.grant_inline())
+            yield wake[1]
+            seen.append(res.grant_inline())
+
+        sim.spawn(proc(sim))
+        sim.run(until=1.0)
+        wake[0].callbacks.append(lambda _e: seen.append("cb"))
+        wake[0].succeed()
+        sim.run(until=2.0)
+        wake[1].succeed()
+        sim.run(until=wake[1])
+        assert seen == [False, "cb", False]
+        with pytest.raises(ValueError):
+            res.grant_inline(2)  # units beyond capacity, as acquire()
+
+    def test_timeout_at_is_exact(self, scheduler):
+        now, when = 4.6776140491268166, 762.1810116633841
+        assert now + (when - now) != when
+        sim = make_sim(scheduler)
+        sim.run(until=now)
+        fired = []
+        sim.timeout_at(when).callbacks.append(lambda _e: fired.append(sim.now))
+        sim.run()
+        assert fired == [when]
+        with pytest.raises(SchedulingInPast):
+            sim.timeout_at(when - 1.0)
 
 
 class TestEnvSelection:
