@@ -13,8 +13,10 @@ client.  This package supplies the pieces a shared fleet needs:
 * :mod:`.qos`        — weighted-fair credit partitioning and service
   scheduling per tenant;
 * :mod:`.migration`  — chunk migration between servers over a fluid
-  bulk channel (elastic-fleet enabler);
-* :mod:`.runner`     — the N-tenants-over-one-fleet scenario runner.
+  bulk channel (elastic-fleet enabler).
+
+:mod:`repro.runner` builds a cluster run: its tenant hosts plus the
+fleet they share.
 """
 
 from .admission import AdmissionController, AdmissionNack

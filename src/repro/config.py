@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .disk.model import DiskParams, ST340014A
-from .faults.plan import FaultPlan, LinkDegrade, LinkFlap
+from .faults.plan import CreditStarve, FaultPlan, LinkDegrade, LinkFlap
 from .kernel.params import DEFAULT_VM_PARAMS, VMParams
 from .obs.health import HealthConfig
 from .net.fabrics import (
@@ -384,10 +384,16 @@ class ClusterScenarioConfig:
                 )
 
     def _check_fault_targets(self, plan: FaultPlan, tenants: list[str]) -> None:
-        """Reject a plan naming a server or port the fleet lacks: the
-        injector would otherwise fail only when the fault comes due."""
+        """Reject a plan naming a server or port the fleet lacks, or a
+        credit starvation (it targets a single node's HPBD client),
+        before any scenario is built."""
         nodes = {f"mem{i}" for i in range(self.nservers)} | set(tenants)
         for ev in plan.events:
+            if isinstance(ev, CreditStarve):
+                raise ValueError(
+                    "credit starvation targets a single node's HPBD "
+                    "client; a cluster plan has no one client to starve"
+                )
             if isinstance(ev, (LinkFlap, LinkDegrade)):
                 if ev.node not in nodes:
                     raise ValueError(

@@ -61,6 +61,13 @@ class FaultInjector:
         self.hpbd_servers = list(hpbd_servers or [])
         self.hpbd_client = hpbd_client
         self.nbd_server = nbd_server
+        # Resolve every scheduled target now: a plan naming a server,
+        # port or client the scenario lacks fails when the scenario is
+        # built, not when the fault comes due.
+        self._schedule = sorted(
+            ((ev, self._resolve(ev)) for ev in plan.events),
+            key=lambda pair: pair[0].at,
+        )
         self._rng = random.Random(plan.seed)
         self.started = False
 
@@ -92,51 +99,48 @@ class FaultInjector:
 
     def _driver(self):
         sim = self.sim
-        for ev in sorted(self.plan.events, key=lambda e: e.at):
+        for ev, target in self._schedule:
             if ev.at > sim.now:
                 yield sim.timeout(ev.at - sim.now)
-            self._apply(ev)
+            self._apply(ev, target)
 
-    def _apply(self, ev) -> None:
+    def _apply(self, ev, target) -> None:
+        """Fire ``ev`` at its resolved ``target`` (server, port or client)."""
         sim = self.sim
         if isinstance(ev, ServerCrash):
-            srv = self._resolve_server(ev.server)
-            srv.crash(wipe=ev.wipe)
+            target.crash(wipe=ev.wipe)
             self.stats.counter("fault.server_crashes").add()
             sim.trace.instant(
                 "faults", "inject", "server_crash",
-                server=srv.name, wipe=ev.wipe, down_for=ev.down_for,
+                server=target.name, wipe=ev.wipe, down_for=ev.down_for,
             )
             if ev.down_for is not None:
                 sim.spawn(
-                    self._restart_later(srv, ev.down_for),
-                    name=f"faults.restart.{srv.name}",
+                    self._restart_later(target, ev.down_for),
+                    name=f"faults.restart.{target.name}",
                 )
         elif isinstance(ev, ServerSlow):
-            srv = self._resolve_server(ev.server)
-            srv.slow(service_mult=ev.service_mult, extra_usec=ev.extra_rtt_usec)
+            target.slow(service_mult=ev.service_mult, extra_usec=ev.extra_rtt_usec)
             self.stats.counter("fault.server_slowdowns").add()
             sim.trace.instant(
                 "faults", "inject", "server_slow",
-                server=srv.name, duration=ev.duration,
+                server=target.name, duration=ev.duration,
                 service_mult=ev.service_mult,
                 extra_rtt_usec=ev.extra_rtt_usec,
             )
-            sim.spawn(self._restore_speed_later(srv, ev.duration),
-                      name=f"faults.speedup.{srv.name}")
+            sim.spawn(self._restore_speed_later(target, ev.duration),
+                      name=f"faults.speedup.{target.name}")
         elif isinstance(ev, LinkFlap):
-            port = self._resolve_port(ev.node)
-            port.set_down()
+            target.set_down()
             self.stats.counter("fault.link_flaps").add()
             sim.trace.instant(
                 "faults", "inject", "link_down",
                 node=ev.node, down_for=ev.down_for,
             )
-            sim.spawn(self._link_up_later(port, ev.down_for),
+            sim.spawn(self._link_up_later(target, ev.down_for),
                       name=f"faults.linkup.{ev.node}")
         elif isinstance(ev, LinkDegrade):
-            port = self._resolve_port(ev.node)
-            port.degrade(
+            target.degrade(
                 latency_mult=ev.latency_mult,
                 byte_time_mult=1.0 / ev.bandwidth_mult,
             )
@@ -147,12 +151,10 @@ class FaultInjector:
                 latency_mult=ev.latency_mult,
                 bandwidth_mult=ev.bandwidth_mult,
             )
-            sim.spawn(self._restore_later(port, ev.duration, ev.node),
+            sim.spawn(self._restore_later(target, ev.duration, ev.node),
                       name=f"faults.restore.{ev.node}")
-        elif isinstance(ev, CreditStarve):
-            sim.spawn(self._starve(ev), name=f"faults.starve.{ev.server}")
-        else:  # pragma: no cover - FaultEvent is closed
-            raise TypeError(f"unknown fault event {ev!r}")
+        else:  # CreditStarve
+            sim.spawn(self._starve(ev, target), name=f"faults.starve.{ev.server}")
 
     def _restart_later(self, srv, delay: float):
         t0 = self.sim.now
@@ -192,10 +194,7 @@ class FaultInjector:
             t0, self.sim.now, node=node,
         )
 
-    def _starve(self, ev: CreditStarve):
-        client = self.hpbd_client
-        if client is None:
-            raise SimulationError("credit starvation needs an HPBD client")
+    def _starve(self, ev: CreditStarve, client: "HPBDClient"):
         bucket = client._credits[ev.server]
         # Never take the whole bucket: a zero-credit server would stall
         # the sender for the entire window instead of throttling it.
@@ -245,18 +244,33 @@ class FaultInjector:
 
     # -- target resolution -------------------------------------------------
 
-    def _resolve_server(self, which):
-        if which == "nbd":
-            if self.nbd_server is None:
-                raise SimulationError("plan crashes 'nbd' but no NBD server")
-            return self.nbd_server
-        if not isinstance(which, int) or not (
-            0 <= which < len(self.hpbd_servers)
-        ):
-            raise SimulationError(f"no HPBD server {which!r} to crash")
-        return self.hpbd_servers[which]
-
-    def _resolve_port(self, node: str):
-        if self.fabric is None or node not in self.fabric._ports:
-            raise SimulationError(f"no fabric port {node!r} to fault")
-        return self.fabric._ports[node]
+    def _resolve(self, ev):
+        """The live object ``ev`` acts on; ``ValueError`` if the
+        scenario has none."""
+        if isinstance(ev, (ServerCrash, ServerSlow)):
+            if ev.server == "nbd" and self.nbd_server is not None:
+                return self.nbd_server
+            if isinstance(ev.server, int) and (
+                0 <= ev.server < len(self.hpbd_servers)
+            ):
+                return self.hpbd_servers[ev.server]
+            raise ValueError(
+                f"fault plan targets server {ev.server!r}, which the "
+                f"scenario lacks"
+            )
+        if isinstance(ev, (LinkFlap, LinkDegrade)):
+            if self.fabric is None or ev.node not in self.fabric._ports:
+                raise ValueError(
+                    f"fault plan targets node {ev.node!r}, which has no "
+                    f"fabric port"
+                )
+            return self.fabric._ports[ev.node]
+        if isinstance(ev, CreditStarve):
+            client = self.hpbd_client
+            if client is None or not 0 <= ev.server < len(client.servers):
+                raise ValueError(
+                    f"credit starvation of server {ev.server} needs an "
+                    f"HPBD client connected to it"
+                )
+            return client
+        raise TypeError(f"unknown fault event {ev!r}")  # pragma: no cover

@@ -22,11 +22,11 @@ from .protocol import (
 from .ramdisk import RamDisk, RamDiskError
 from .server import HPBDServer
 from .striping import (
-    BlockingDistribution,
     Chunk,
     ChunkMapDistribution,
     Segment,
-    StripedDistribution,
+    blocking_chunks,
+    striped_chunks,
 )
 
 __all__ = [
@@ -40,9 +40,9 @@ __all__ = [
     "PoolError",
     "RamDisk",
     "RamDiskError",
-    "BlockingDistribution",
-    "StripedDistribution",
     "ChunkMapDistribution",
+    "blocking_chunks",
+    "striped_chunks",
     "Chunk",
     "Segment",
     "PageRequest",

@@ -5,7 +5,7 @@ Structure follows §4.2.3/§5 of the paper:
 * the driver exposes a standard request queue to the VM (so all the
   block-layer merging/plugging applies untouched);
 * a **sender thread** takes merged requests off the queue, splits each
-  into per-server *physical requests* (blocking distribution), copies
+  into per-server *physical requests* (its chunk map), copies
   swap-out data into the pre-registered pool, takes a flow-control
   credit, and posts the control message;
 * a **receiver thread** sleeps on the reply completion queue (one CQ
@@ -72,7 +72,12 @@ from .protocol import (
     ProtocolError,
 )
 from .server import HPBDServer
-from .striping import BlockingDistribution, Segment
+from .striping import (
+    ChunkMapDistribution,
+    Segment,
+    blocking_chunks,
+    group_chunk_maps,
+)
 
 __all__ = ["HPBDClient"]
 
@@ -200,8 +205,6 @@ class HPBDClient:
         name: str = "hpbd0",
         stats: StatsRegistry | None = None,
         register_on_fly: bool = False,
-        stripe_bytes: int | None = None,
-        server_area_base: int = 0,
         server_area_bases: list[int] | None = None,
         tenant: str | None = None,
         qos_weight: float = 1.0,
@@ -284,68 +287,48 @@ class HPBDClient:
         #: fly instead of copying through the pre-registered pool.
         self.register_on_fly = register_on_fly
         #: where this client's area starts inside each server's store
-        #: (lets one server serve several clients, §5).  The cluster
-        #: placement layer hands per-server bases; the scalar form keeps
-        #: the original one-base-everywhere behaviour.
+        #: (lets one server serve several clients, §5); the cluster
+        #: placement layer hands these out, default 0 everywhere.
         if server_area_bases is not None:
             if len(server_area_bases) != len(servers):
                 raise ValueError(
                     f"{len(server_area_bases)} area bases for "
                     f"{len(servers)} servers"
                 )
-            if server_area_base:
-                raise ValueError(
-                    "pass server_area_base or server_area_bases, not both"
-                )
             self.server_area_bases = list(server_area_bases)
         else:
-            self.server_area_bases = [server_area_base] * len(servers)
+            self.server_area_bases = [0] * len(servers)
         #: cluster identity: tags this driver's traffic on every server
         #: (per-tenant accounting + weighted-fair service).
         self.tenant = tenant
         if qos_weight <= 0:
             raise ValueError(f"bad qos weight {qos_weight}")
         self.qos_weight = qos_weight
-        if redundancy is not None and stripe_bytes is not None:
-            raise ValueError("a redundancy group lays its own chunk map")
-        if redundancy is not None and distribution is None:
-            # Standalone (non-cluster) construction: derive the chunk
-            # map from the group so driver unit tests need no planner.
-            from .striping import ChunkMapDistribution, group_chunk_maps
-
-            data_chunks, parity_chunks = group_chunk_maps(
-                redundancy, total_bytes
-            )
+        if distribution is None:
+            # Standalone construction: the paper's blocking layout, or
+            # the chunk map a redundancy group derives, so driver unit
+            # tests need no planner.
+            if redundancy is not None:
+                data_chunks, parity_chunks = group_chunk_maps(
+                    redundancy, total_bytes
+                )
+            else:
+                data_chunks = blocking_chunks(total_bytes, len(servers))
+                parity_chunks = None
             distribution = ChunkMapDistribution(
                 total_bytes, len(servers), data_chunks, parity_chunks
             )
-        if distribution is not None:
-            # Custom layout (a cluster grant, the cooperative broker's).
-            if distribution.total_bytes != total_bytes:
-                raise ValueError(
-                    f"distribution covers {distribution.total_bytes} bytes, "
-                    f"device is {total_bytes}"
-                )
-            if distribution.nservers != len(servers):
-                raise ValueError(
-                    f"distribution names {distribution.nservers} servers, "
-                    f"got {len(servers)}"
-                )
-            self.dist = distribution
-        elif stripe_bytes is None:
-            self.dist = BlockingDistribution(total_bytes, len(servers))
-        else:
-            # ablation switch (§4.2.5): striped layout the paper rejects
-            from .striping import StripedDistribution
-
-            self.dist = StripedDistribution(
-                total_bytes, len(servers), stripe_bytes
-            )
-        if degraded_mode == "disk" and not hasattr(self.dist, "absolute_offset"):
+        if distribution.total_bytes != total_bytes:
             raise ValueError(
-                "disk degraded mode needs a distribution with contiguous "
-                "device-space segments (blocking layout)"
+                f"distribution covers {distribution.total_bytes} bytes, "
+                f"device is {total_bytes}"
             )
+        if distribution.nservers != len(servers):
+            raise ValueError(
+                f"distribution names {distribution.nservers} servers, "
+                f"got {len(servers)}"
+            )
+        self.dist = distribution
         ring = redundancy is not None and redundancy.policy.kind == "nway"
         if ring and any(
             self.dist.share_of(s) != redundancy.share_bytes
@@ -472,7 +455,7 @@ class HPBDClient:
         self.copy_usec = 0.0  # client-side memcpy (host overhead share)
         #: fleet health sink (repro.obs.health.HealthHub) — fed per-server
         #: RTTs, per-tenant request latencies, and failed attempts; the
-        #: cluster runner shares one hub across every tenant's driver.
+        #: runner shares one hub across every tenant's driver.
         self.health = health
 
     # -- setup ---------------------------------------------------------------
@@ -1580,8 +1563,8 @@ class HPBDClient:
     def _fallback_io(self, entry: _Inflight):
         """Serve one segment from the local swap disk instead; generator.
 
-        The blocking layout keeps segments contiguous in device space,
-        so the fallback bio targets the same absolute device range.
+        A split segment lies inside one chunk, so the fallback bio
+        targets the same absolute device range.
         """
         sim = self.sim
         seg = entry.seg

@@ -1,4 +1,4 @@
-"""Multi-server layout: the non-striped *blocking* distribution (§4.2.5).
+"""Multi-server layout: every HPBD layout is a chunk map (§4.2.5).
 
 The paper rejects striping (the 128 KiB request bound and the high IB
 bandwidth make it not worth the extra memcpy/multiplexing) and instead
@@ -9,6 +9,11 @@ A block request can still straddle a chunk boundary, in which case it is
 split into *physical requests*, one per server — §5: "A single request
 in the queue may represent multiple physical requests to different
 servers depending on the address range and size of the request."
+
+:func:`blocking_chunks` lays that pattern out, :func:`striped_chunks`
+the rejected alternative, and cluster placement or the cooperative
+broker hand out their own chunk lists; :class:`ChunkMapDistribution`
+routes all of them.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from dataclasses import dataclass
 __all__ = [
     "Segment",
     "Chunk",
-    "BlockingDistribution",
-    "StripedDistribution",
     "ChunkMapDistribution",
+    "blocking_chunks",
+    "striped_chunks",
     "group_chunk_maps",
 ]
 
@@ -55,7 +60,22 @@ class Chunk:
         return self.start + self.nbytes
 
 
-class StripedDistribution:
+def blocking_chunks(total_bytes: int, nservers: int) -> list[Chunk]:
+    """The paper's layout: server *i* owns device bytes
+    ``[i*share, (i+1)*share)`` at the start of its store."""
+    if nservers < 1:
+        raise ValueError(f"need at least one server, got {nservers}")
+    if total_bytes % nservers:
+        raise ValueError(
+            f"total size {total_bytes} not divisible by {nservers} servers"
+        )
+    share = total_bytes // nservers
+    return [Chunk(i * share, share, i, 0) for i in range(nservers)]
+
+
+def striped_chunks(
+    total_bytes: int, nservers: int, stripe_bytes: int
+) -> list[Chunk]:
     """Round-robin striping — the alternative §4.2.5 *rejects*.
 
     Kept for the ablation benchmark: with stripes smaller than a block
@@ -64,124 +84,20 @@ class StripedDistribution:
     which is exactly why the paper chose the blocking pattern under the
     128 KiB request bound.
     """
-
-    def __init__(self, total_bytes: int, nservers: int, stripe_bytes: int) -> None:
-        if nservers < 1:
-            raise ValueError(f"need at least one server, got {nservers}")
-        if stripe_bytes < 1:
-            raise ValueError(f"bad stripe size {stripe_bytes}")
-        if total_bytes % (nservers * stripe_bytes):
-            raise ValueError(
-                f"total {total_bytes} not divisible by {nservers} servers "
-                f"x {stripe_bytes} stripe"
-            )
-        self.total_bytes = total_bytes
-        self.nservers = nservers
-        self.stripe_bytes = stripe_bytes
-        self.chunk_bytes = total_bytes // nservers  # per-server store size
-
-    def share_of(self, server: int) -> int:
-        """Bytes of the device stored by ``server``."""
-        if not (0 <= server < self.nservers):
-            raise ValueError(f"no server {server}")
-        return self.chunk_bytes
-
-    def locate(self, offset: int) -> tuple[int, int]:
-        if not (0 <= offset < self.total_bytes):
-            raise ValueError(f"offset {offset} outside device")
-        stripe = offset // self.stripe_bytes
-        server = stripe % self.nservers
-        row = stripe // self.nservers
-        return server, row * self.stripe_bytes + offset % self.stripe_bytes
-
-    def split(self, offset: int, nbytes: int) -> list["Segment"]:
-        if nbytes <= 0:
-            raise ValueError(f"bad extent size {nbytes}")
-        if offset < 0 or offset + nbytes > self.total_bytes:
-            raise ValueError("extent outside device")
-        out: list[Segment] = []
-        pos = offset
-        remaining = nbytes
-        while remaining > 0:
-            server, soff = self.locate(pos)
-            in_stripe = self.stripe_bytes - (pos % self.stripe_bytes)
-            take = min(remaining, in_stripe)
-            # Coalesce with the previous segment when contiguous on the
-            # same server (happens for stripe-aligned multi-row spans).
-            if (
-                out
-                and out[-1].server == server
-                and out[-1].server_offset + out[-1].nbytes == soff
-            ):
-                out[-1] = Segment(server, out[-1].server_offset,
-                                  out[-1].nbytes + take)
-            else:
-                out.append(Segment(server, soff, take))
-            pos += take
-            remaining -= take
-        return out
-
-
-class BlockingDistribution:
-    """Contiguous-chunk layout of ``total_bytes`` over ``nservers``."""
-
-    def __init__(self, total_bytes: int, nservers: int) -> None:
-        if nservers < 1:
-            raise ValueError(f"need at least one server, got {nservers}")
-        if total_bytes < nservers:
-            raise ValueError(
-                f"cannot distribute {total_bytes} bytes over {nservers} servers"
-            )
-        if total_bytes % nservers:
-            raise ValueError(
-                f"total size {total_bytes} not divisible by {nservers} servers"
-            )
-        self.total_bytes = total_bytes
-        self.nservers = nservers
-        self.chunk_bytes = total_bytes // nservers
-
-    def share_of(self, server: int) -> int:
-        """Bytes of the device stored by ``server``."""
-        if not (0 <= server < self.nservers):
-            raise ValueError(f"no server {server}")
-        return self.chunk_bytes
-
-    def locate(self, offset: int) -> tuple[int, int]:
-        """Map a device byte offset to ``(server, server_offset)``."""
-        if not (0 <= offset < self.total_bytes):
-            raise ValueError(f"offset {offset} outside device of {self.total_bytes}")
-        return offset // self.chunk_bytes, offset % self.chunk_bytes
-
-    def absolute_offset(self, seg: Segment) -> int:
-        """Device byte offset of a segment (inverse of :meth:`locate`).
-
-        Only the blocking layout keeps segments contiguous in device
-        space, which is what lets the disk-fallback degraded mode remap
-        a segment onto the local swap disk 1:1.
-        """
-        if not (0 <= seg.server < self.nservers):
-            raise ValueError(f"no server {seg.server}")
-        return seg.server * self.chunk_bytes + seg.server_offset
-
-    def split(self, offset: int, nbytes: int) -> list[Segment]:
-        """Split ``[offset, offset+nbytes)`` into per-server segments."""
-        if nbytes <= 0:
-            raise ValueError(f"bad extent size {nbytes}")
-        if offset < 0 or offset + nbytes > self.total_bytes:
-            raise ValueError(
-                f"extent [{offset}, {offset + nbytes}) outside device of "
-                f"{self.total_bytes} bytes"
-            )
-        out: list[Segment] = []
-        pos = offset
-        remaining = nbytes
-        while remaining > 0:
-            server, soff = self.locate(pos)
-            take = min(remaining, self.chunk_bytes - soff)
-            out.append(Segment(server=server, server_offset=soff, nbytes=take))
-            pos += take
-            remaining -= take
-        return out
+    if nservers < 1:
+        raise ValueError(f"need at least one server, got {nservers}")
+    if stripe_bytes < 1:
+        raise ValueError(f"bad stripe size {stripe_bytes}")
+    if total_bytes % (nservers * stripe_bytes):
+        raise ValueError(
+            f"total {total_bytes} not divisible by {nservers} servers "
+            f"x {stripe_bytes} stripe"
+        )
+    return [
+        Chunk(i * stripe_bytes, stripe_bytes, i % nservers,
+              i // nservers * stripe_bytes)
+        for i in range(total_bytes // stripe_bytes)
+    ]
 
 
 class ChunkMapDistribution:

@@ -10,9 +10,22 @@ from __future__ import annotations
 
 import pytest
 
-from repro import HPBD, ScenarioConfig, TestswapWorkload, run_scenario
-from repro.config import FaultConfig
-from repro.faults import FaultPlan, LinkDegrade, LinkFlap, ServerCrash
+from repro import (
+    HPBD,
+    LocalDisk,
+    ScenarioConfig,
+    TestswapWorkload,
+    build_scenario,
+    run_scenario,
+)
+from repro.config import ClusterScenarioConfig, FaultConfig, TenantSpec
+from repro.faults import (
+    CreditStarve,
+    FaultPlan,
+    LinkDegrade,
+    LinkFlap,
+    ServerCrash,
+)
 from repro.hpbd import (
     HPBDClient,
     HPBDServer,
@@ -237,6 +250,40 @@ def _counts(result) -> dict[str, int]:
         c = result.registry.get(f"hpbd0.{key}")
         out[key] = int(c.count) if c is not None else 0
     return out
+
+
+class TestFaultTargetsCheckedAtBuild:
+    """A plan naming a target the scenario lacks fails when the scenario
+    is built, not mid-run when the fault comes due."""
+
+    @pytest.mark.parametrize(
+        "device, event, match",
+        [
+            (HPBD(nservers=1), ServerCrash(at=1_000.0, server=3), "server 3"),
+            (HPBD(nservers=2), LinkFlap(at=1_000.0, node="mem7", down_for=1.0),
+             "'mem7'"),
+            (LocalDisk(), ServerCrash(at=1_000.0, server=0), "server 0"),
+        ],
+    )
+    def test_single_node_plan(self, device, event, match):
+        cfg = _fault_scenario(device, FaultConfig(plan=FaultPlan(events=(event,))))
+        with pytest.raises(ValueError, match=match):
+            build_scenario(cfg)
+
+    def test_cluster_credit_starvation_rejected(self):
+        tenant = TenantSpec(
+            name="t0",
+            workload=TestswapWorkload(size_bytes=2 * MiB),
+            mem_bytes=2 * MiB,
+            swap_bytes=4 * MiB,
+        )
+        plan = FaultPlan(events=(CreditStarve(at=1_000.0, server=0),))
+        with pytest.raises(ValueError, match="credit starvation"):
+            ClusterScenarioConfig(
+                tenants=[tenant],
+                mem_reserved_bytes=MiB,
+                faults=FaultConfig(plan=plan),
+            )
 
 
 class TestInjectedServerCrash:

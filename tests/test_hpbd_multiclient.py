@@ -29,7 +29,7 @@ def two_clients(sim, fabric):
             [server],
             total_bytes=16 * MiB,
             name=f"hpbd{i}",
-            server_area_base=i * 16 * MiB,
+            server_area_bases=[i * 16 * MiB],
         )
         nodes.append(node)
         clients.append(client)
@@ -123,7 +123,7 @@ class TestMultiClient:
         node = Node(sim, fabric, "n", mem_bytes=16 * MiB)
         with pytest.raises(ValueError, match="too small"):
             HPBDClient(
-                sim, node, [server], total_bytes=MiB, server_area_base=2 * MiB
+                sim, node, [server], total_bytes=MiB, server_area_bases=[2 * MiB]
             )
 
     def test_bad_area_base_rejected_at_server(self, sim, fabric):

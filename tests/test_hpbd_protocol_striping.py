@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.hpbd import (
-    BlockingDistribution,
     Chunk,
     ChunkMapDistribution,
     CTRL_MSG_BYTES,
@@ -20,7 +19,7 @@ from repro.hpbd import (
     STATUS_NACK,
 )
 from repro.hpbd.ramdisk import SPILL_BYTES_PER_USEC
-from repro.hpbd.striping import Segment
+from repro.hpbd.striping import Segment, blocking_chunks
 from repro.units import KiB, MiB, PAGE_SIZE
 
 
@@ -74,9 +73,16 @@ class TestProtocol:
         assert PageReply(req_id=9).ok
 
 
+def _blocking(total_bytes, nservers):
+    """The paper's blocking layout, as every client builds it."""
+    return ChunkMapDistribution(
+        total_bytes, nservers, blocking_chunks(total_bytes, nservers)
+    )
+
+
 class TestBlockingDistribution:
     def test_single_server_identity(self):
-        d = BlockingDistribution(MiB, 1)
+        d = _blocking(MiB, 1)
         segs = d.split(1000, 5000)
         assert len(segs) == 1
         assert segs[0].server == 0
@@ -86,21 +92,21 @@ class TestBlockingDistribution:
     def test_chunks_are_contiguous_blocks(self):
         # §4.2.5: blocking pattern, NOT striping — consecutive offsets
         # inside one chunk map to the same server.
-        d = BlockingDistribution(4 * MiB, 4)
+        d = _blocking(4 * MiB, 4)
         assert d.locate(0) == (0, 0)
         assert d.locate(MiB - 1) == (0, MiB - 1)
         assert d.locate(MiB) == (1, 0)
         assert d.locate(4 * MiB - 1) == (3, MiB - 1)
 
     def test_straddling_request_splits(self):
-        d = BlockingDistribution(4 * MiB, 4)
+        d = _blocking(4 * MiB, 4)
         segs = d.split(MiB - 64 * KiB, 128 * KiB)
         assert len(segs) == 2
         assert segs[0].server == 0 and segs[0].nbytes == 64 * KiB
         assert segs[1].server == 1 and segs[1].server_offset == 0
 
     def test_split_covers_extent_exactly(self):
-        d = BlockingDistribution(16 * MiB, 16)
+        d = _blocking(16 * MiB, 16)
         segs = d.split(3 * MiB - 1, 2 * MiB + 2)
         assert sum(s.nbytes for s in segs) == 2 * MiB + 2
         # server order must be ascending and contiguous
@@ -110,16 +116,16 @@ class TestBlockingDistribution:
     def test_interior_request_never_splits(self):
         # A 128 KiB request entirely inside a chunk stays whole — the
         # common case that motivates the non-striped layout.
-        d = BlockingDistribution(1 << 30, 8)
+        d = _blocking(1 << 30, 8)
         segs = d.split(10 * MiB, 128 * KiB)
         assert len(segs) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BlockingDistribution(MiB, 0)
+            _blocking(MiB, 0)
         with pytest.raises(ValueError):
-            BlockingDistribution(MiB + 1, 2)  # not divisible
-        d = BlockingDistribution(MiB, 2)
+            _blocking(MiB + 1, 2)  # not divisible
+        d = _blocking(MiB, 2)
         with pytest.raises(ValueError):
             d.split(MiB, 1)
         with pytest.raises(ValueError):

@@ -160,7 +160,7 @@ class TestFig10MultiServer:
 
         scn = build_scenario(cfg([w], HPBD(nservers=4), 512 * MiB // SCALE))
         scn.run()
-        stored = [s.ramdisk.pages_stored for s in scn.hpbd_servers]
+        stored = [s.ramdisk.pages_stored for s in scn.servers]
         assert sum(1 for s in stored if s > 0) >= 2  # blocking layout fills chunks in order
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.hpbd import BlockingDistribution, RegisteredPool
+from repro.hpbd import ChunkMapDistribution, RegisteredPool, blocking_chunks
 from repro.hpbd.ramdisk import RamDisk
 from repro.kernel import PageLRU
 from repro.kernel.vmm import AddressSpace
@@ -95,7 +95,8 @@ class TestStripingProperties:
     def test_split_partitions_extent(self, nservers, chunk_mib, offset, nbytes):
         total = nservers * chunk_mib * MiB
         assume(offset + nbytes <= total)
-        d = BlockingDistribution(total, nservers)
+        d = ChunkMapDistribution(total, nservers, blocking_chunks(total, nservers))
+        chunk_bytes = total // nservers
         segs = d.split(offset, nbytes)
         assert sum(s.nbytes for s in segs) == nbytes
         # Reconstruct: walking the segments reproduces the offsets.
@@ -103,8 +104,8 @@ class TestStripingProperties:
         for seg in segs:
             srv, soff = d.locate(pos)
             assert (srv, soff) == (seg.server, seg.server_offset)
-            assert 0 <= seg.server_offset < d.chunk_bytes
-            assert seg.server_offset + seg.nbytes <= d.chunk_bytes
+            assert 0 <= seg.server_offset < chunk_bytes
+            assert seg.server_offset + seg.nbytes <= chunk_bytes
             pos += seg.nbytes
 
     @given(nservers=st.integers(1, 16), chunk_mib=st.integers(1, 8))
@@ -113,7 +114,7 @@ class TestStripingProperties:
         # A 128 KiB request can straddle at most one chunk boundary as
         # long as chunks are >= 128 KiB.
         total = nservers * chunk_mib * MiB
-        d = BlockingDistribution(total, nservers)
+        d = ChunkMapDistribution(total, nservers, blocking_chunks(total, nservers))
         for offset in range(0, total - 128 * KiB, total // 7 + 1):
             assert len(d.split(offset, 128 * KiB)) <= 2
 

@@ -434,7 +434,7 @@ def test_mirror_flag_is_nway2_per_tenant():
     # re-validating the aliased config (dataclasses.replace) is fine
     assert replace(cfg, seed=7).tenants == cfg.tenants
     scenario = build_cluster_scenario(cfg)
-    (tenant,) = scenario.tenants
+    (tenant,) = scenario.hosts
     assert tenant.admission.policy == "nway(2)"
     assert tenant.client.redundancy.policy.label == "nway(2)"
     assert scenario.repair is None

@@ -71,23 +71,24 @@ class TestConfigValidation:
 class TestBuild:
     def test_hpbd_builds_servers(self):
         scn = build_scenario(small_cfg(HPBD(nservers=4)))
-        assert len(scn.hpbd_servers) == 4
-        assert scn.hpbd_client is not None
-        assert scn.queue is scn.hpbd_client.queue
+        assert len(scn.servers) == 4
+        (host,) = scn.hosts
+        assert host.client is not None
+        assert host.queue is host.client.queue
 
     def test_hpbd_server_store_covers_share(self):
         scn = build_scenario(small_cfg(HPBD(nservers=4)))
-        share = scn.hpbd_servers[0].ramdisk.size
+        share = scn.servers[0].ramdisk.size
         assert share * 4 >= 32 * MiB
 
     def test_nbd_builds_single_server(self):
         scn = build_scenario(small_cfg(NBD("gige")))
-        assert scn.nbd_client is not None
+        assert scn.hosts[0].nbd_client is not None
         assert scn.nbd_server is not None
 
     def test_disk_builds(self):
         scn = build_scenario(small_cfg(LocalDisk()))
-        assert scn.disk is not None
+        assert scn.hosts[0].disk is not None
 
     def test_local_requires_fit(self):
         with pytest.raises(ValueError):

@@ -17,11 +17,11 @@ import random
 import pytest
 
 from repro.hpbd.striping import (
-    BlockingDistribution,
     Chunk,
     ChunkMapDistribution,
-    StripedDistribution,
+    blocking_chunks,
     group_chunk_maps,
+    striped_chunks,
 )
 from repro.redundancy.policy import RedundancyPolicy, ShardGroup
 
@@ -151,10 +151,16 @@ def test_blocking_and_striped_fuzz(seed):
     nservers = rng.randint(1, 8)
     chunk = rng.randint(1, 32) * PAGE
     total = nservers * chunk
-    check_split_properties(BlockingDistribution(total, nservers), rng)
+    blocking = ChunkMapDistribution(
+        total, nservers, blocking_chunks(total, nservers)
+    )
+    check_split_properties(blocking, rng)
     stripe = rng.choice([PAGE, 2 * PAGE, 4 * PAGE])
     rows = rng.randint(1, 8)
-    striped = StripedDistribution(nservers * stripe * rows, nservers, stripe)
+    total = nservers * stripe * rows
+    striped = ChunkMapDistribution(
+        total, nservers, striped_chunks(total, nservers, stripe)
+    )
     check_split_properties(striped, rng)
 
 
