@@ -21,6 +21,14 @@ Posts exceed the ``sim.events`` perfbench reports by the entries that
 never fire: cancelled timeouts and ``run(until=<float>)`` deadline
 markers.  The workload definitions come from ``perfbench/scenarios.py``,
 imported as is.
+
+After the posts it prints each site that asks to skip an event whose
+turn is fixed (``Simulator.sleep_inline``, ``Resource.grant_inline``,
+``TokenBucket.grant_inline``): the function that asks, its caller and,
+for a grant, the resource, with the sleeps or grants taken inline
+against those refused.  Each refusal posts one event (the timeout, or
+the grant that ``acquire()`` succeeds), so the ``posted`` column counts
+what the site still queues.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import scenarios  # noqa: E402
 
-from repro.simulator import Simulator  # noqa: E402
+from repro.simulator import Resource, Simulator, TokenBucket  # noqa: E402
 from repro.simulator import core  # noqa: E402
 
 #: the quick sort pivot seed perfbench runs with (the workload's default)
@@ -54,10 +62,29 @@ def _name(frame) -> str:
     return f"{os.path.basename(code.co_filename)}:{name}"
 
 
+#: the skip-if-next queries counted per site: (class, method, kind)
+_QUERIES = (
+    (Simulator, "sleep_inline", "sleep"),
+    (Resource, "grant_inline", "grant"),
+    (TokenBucket, "grant_inline", "grant"),
+)
+
+
+def _site(frame, core_file: str) -> tuple[str, str]:
+    """A frame outside core.py and its caller, as printed: a caller
+    inside the loop prints as ``(event loop)``."""
+    caller = frame.f_back
+    if caller.f_code.co_filename == core_file:
+        return _name(frame), "(event loop)"
+    return _name(frame), _name(caller)
+
+
 def count_sites(workload: str, seed: int = 1, qs_seed: int = QS_SEED):
-    """Run ``workload``'s scenarios; return (posts per site, events
-    processed)."""
+    """Run ``workload``'s scenarios; return (posts per site,
+    skip-if-next queries per site, events processed).  A query is keyed
+    (kind, asking function, its caller, resource name, taken)."""
     counts: Counter = Counter()
+    inline: Counter = Counter()
     core_file = core.__file__
     init = Simulator.__init__
 
@@ -72,26 +99,52 @@ def count_sites(workload: str, seed: int = 1, qs_seed: int = QS_SEED):
                 and frame.f_code.co_name not in _LOOP
             ):
                 frame = frame.f_back
-            caller = frame.f_back
-            counts[(
-                _name(frame),
-                "(event loop)" if caller.f_code.co_filename == core_file
-                else _name(caller),
-                re.sub(r"\d+", "#", event.name),
-            )] += 1
+            counts[(*_site(frame, core_file), re.sub(r"\d+", "#", event.name))] += 1
             post(when, key, event)
 
         self._post = counted
 
+    def counting_query(query, kind):
+        def counted(self, *args, **kwargs) -> bool:
+            taken = query(self, *args, **kwargs)
+            name = "" if kind == "sleep" else re.sub(r"\d+", "#", self.name)
+            inline[(kind, *_site(sys._getframe(1), core_file), name, taken)] += 1
+            return taken
+
+        return counted
+
     w = scenarios.WORKLOADS[workload]
+    originals = [(cls, attr, getattr(cls, attr)) for cls, attr, _kind in _QUERIES]
     Simulator.__init__ = counting_init
+    for cls, attr, kind in _QUERIES:
+        setattr(cls, attr, counting_query(getattr(cls, attr), kind))
     try:
         built = [sc.build() for sc in w.scenarios(w.inputs(seed, qs_seed))]
         for scenario in built:
             scenario.run()
     finally:
         Simulator.__init__ = init
-    return counts, sum(b.sim.events_processed for b in built)
+        for cls, attr, query in originals:
+            setattr(cls, attr, query)
+    return counts, inline, sum(b.sim.events_processed for b in built)
+
+
+def _print_inline(inline: Counter, top: int) -> None:
+    split: dict[tuple, list[int]] = {}
+    for (*site, taken), n in inline.items():
+        split.setdefault(tuple(site), [0, 0])[0 if taken else 1] += n
+    rows = sorted(split.items(), key=lambda kv: (-sum(kv[1]), kv[0]))
+    print(f"{'inline':>9} {'posted':>9} {'rate':>6}  kind  asking function <- caller  [resource]")
+    for (kind, site, caller, name), (took, posted) in rows[: top or None]:
+        label = f"  [{name}]" if name else ""
+        rate = took / (took + posted)
+        print(f"{took:9d} {posted:9d} {rate:6.1%}  {kind:<5} {site} <- {caller}{label}")
+    if top and len(rows) > top:
+        print(f"({len(rows) - top} more sites)")
+    for kind in ("sleep", "grant"):
+        took = sum(t for (k, *_s), (t, _p) in split.items() if k == kind)
+        posted = sum(p for (k, *_s), (_t, p) in split.items() if k == kind)
+        print(f"{kind}s: {took} inline, {posted} posted")
 
 
 def main(argv=None) -> int:
@@ -102,7 +155,7 @@ def main(argv=None) -> int:
     parser.add_argument("--top", type=int, default=30, help="rows to print (0: all)")
     args = parser.parse_args(argv)
 
-    counts, processed = count_sites(args.workload, args.seed, args.qs_seed)
+    counts, inline, processed = count_sites(args.workload, args.seed, args.qs_seed)
     total = sum(counts.values())
     rows = counts.most_common(args.top or None)
     print(f"{'posts':>9} {'share':>6}  posting function <- caller  [event name]")
@@ -112,6 +165,8 @@ def main(argv=None) -> int:
         rest = total - sum(n for _k, n in rows)
         print(f"{rest:9d} {rest / total:6.1%}  ({len(counts) - len(rows)} more sites)")
     print(f"total posts {total}, events processed {processed}")
+    print()
+    _print_inline(inline, args.top)
     return 0
 
 

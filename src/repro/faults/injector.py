@@ -51,7 +51,7 @@ class FaultInjector:
         stats: "StatsRegistry",
         fabric: "Fabric | None" = None,
         hpbd_servers: "list[HPBDServer] | None" = None,
-        hpbd_client: "HPBDClient | None" = None,
+        hpbd_clients: "list[HPBDClient] | None" = None,
         nbd_server: "NBDServer | None" = None,
     ) -> None:
         self.sim = sim
@@ -59,7 +59,9 @@ class FaultInjector:
         self.stats = stats
         self.fabric = fabric
         self.hpbd_servers = list(hpbd_servers or [])
-        self.hpbd_client = hpbd_client
+        #: every HPBD client of the scenario: one per node (a fleet's
+        #: tenants each have their own)
+        self.hpbd_clients = list(hpbd_clients or [])
         self.nbd_server = nbd_server
         # Resolve every scheduled target now: a plan naming a server,
         # port or client the scenario lacks fails when the scenario is
@@ -88,10 +90,8 @@ class FaultInjector:
             # A dropped/corrupted control message must be survivable at
             # both protocol ends: drop-and-count instead of raising, and
             # let the client watchdog retransmit.
-            for srv in self.hpbd_servers:
-                srv.drop_bad_ctrl = True
-            if self.hpbd_client is not None:
-                self.hpbd_client.drop_bad_ctrl = True
+            for end in (*self.hpbd_servers, *self.hpbd_clients):
+                end.drop_bad_ctrl = True
         if self.plan.events:
             self.sim.spawn(self._driver(), name="faults.driver")
 
@@ -266,11 +266,12 @@ class FaultInjector:
                 )
             return self.fabric._ports[ev.node]
         if isinstance(ev, CreditStarve):
-            client = self.hpbd_client
-            if client is None or not 0 <= ev.server < len(client.servers):
+            # Only a single node's client: a fleet has no one to starve.
+            clients = self.hpbd_clients
+            if len(clients) != 1 or not 0 <= ev.server < len(clients[0].servers):
                 raise ValueError(
-                    f"credit starvation of server {ev.server} needs an "
-                    f"HPBD client connected to it"
+                    f"credit starvation of server {ev.server} needs the "
+                    f"one HPBD client connected to it"
                 )
-            return client
+            return clients[0]
         raise TypeError(f"unknown fault event {ev!r}")  # pragma: no cover

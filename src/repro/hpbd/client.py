@@ -931,7 +931,9 @@ class HPBDClient:
             return  # a tied attempt already won while this one queued
         blk_req_id = entry.pending.req.req_id
         t_credit = sim.now
-        yield self._credits[server].acquire()
+        credits = self._credits[server]
+        if not credits.grant_inline():
+            yield credits.acquire()
         if trace.enabled and sim.now > t_credit:
             trace.complete(
                 self.name, "sender", "credit_wait", "hpbd.credit",
@@ -940,11 +942,11 @@ class HPBDClient:
             )
         if entry.completed:
             # Lost the tie while waiting for a credit.
-            self._credits[server].release()
+            credits.release()
             return
         if server in self._dead:
             # Lost a race: the target died while we waited for a credit.
-            self._credits[server].release()
+            credits.release()
             if entry.op == READ and entry.live_rids and not entry.degraded:
                 return  # a tied attempt on the other copy carries the read
             self._reroute(entry, server)
@@ -995,7 +997,7 @@ class HPBDClient:
         )
         entry.live_rids.add(preq.req_id)
         self._c_phys.add(entry.seg.nbytes)
-        self._qps[server].post_send(
+        self._qps[server].post_send_nowait(
             SendWR(
                 nbytes=CTRL_MSG_BYTES,
                 payload=preq,

@@ -342,7 +342,7 @@ class HPBDServer:
         if not self.alive:
             self.stats.counter(f"{self.name}.suppressed_replies").add()
             return
-        qp.post_send(
+        qp.post_send_nowait(
             SendWR(
                 nbytes=CTRL_MSG_BYTES,
                 payload=reply,
@@ -404,7 +404,8 @@ class HPBDServer:
                     req.blk_req_id,
                 )
                 return
-            yield self._rdma_slots.acquire()
+            if not self._rdma_slots.grant_inline():
+                yield self._rdma_slots.acquire()
             try:
                 if self.slow_extra_usec > 0.0:
                     # Injected fail-slow stall: burned while holding the

@@ -156,12 +156,22 @@ class QueuePair:
 
         The returned event is a convenience for driver code that wants to
         block on a specific WR (the CQE is still generated if
-        ``wr.signaled``).
+        ``wr.signaled``).  A caller that never waits on it posts with
+        :meth:`post_send_nowait` instead.
         """
         self._require_connected()
-        done = Event(self.hca.sim, name=f"wr{wr.wr_id}")
+        done = self.hca.sim.event("wr")
         self._sq.put((wr, done))
         return done
+
+    def post_send_nowait(self, wr: SendWR | RDMAWriteWR | RDMAReadWR) -> None:
+        """Queue a work request whose completion nobody waits on.
+
+        Executes exactly as :meth:`post_send` (CQE included, if
+        ``wr.signaled``) but builds and fires no completion event.
+        """
+        self._require_connected()
+        self._sq.put((wr, None))
 
     # -- execution ----------------------------------------------------------
 
@@ -178,7 +188,7 @@ class QueuePair:
             if peer is not None:
                 penalty = max(penalty, peer.hca.qp_penalty())
             post_cost = params.wqe_post_cost + penalty
-            if post_cost > 0:
+            if post_cost > 0 and not sim.sleep_inline(post_cost):
                 yield sim.timeout(post_cost)
             if isinstance(wr, SendWR):
                 yield from self._do_send(wr)
@@ -205,7 +215,8 @@ class QueuePair:
                         byte_len=wr.nbytes,
                     )
                 )
-            done.succeed(wr)
+            if done is not None:
+                done.succeed(wr)
 
     def _do_send(self, wr: SendWR):
         peer = self._require_connected()

@@ -37,7 +37,9 @@ class CPUSet:
         if not res.grant_inline():
             yield res.acquire()
         try:
-            yield self.sim.timeout(cost)
+            sim = self.sim
+            if not sim.sleep_inline(cost):
+                yield sim.timeout(cost)
             self.busy_usec += cost
         finally:
             res.release()

@@ -143,14 +143,14 @@ class Fabric:
         # products below are exact no-ops outside fault scenarios.
         mult = max(src.byte_time_mult, dst.byte_time_mult)
         serialization = nbytes * byte_time * mult
-        if serialization > 0:
+        if serialization > 0 and not self.sim.sleep_inline(serialization):
             yield self.sim.timeout(serialization)
         src.tx.release()
         dst.rx.release()
         src.bytes_out += nbytes
         dst.bytes_in += nbytes
         latency = latency * max(src.latency_mult, dst.latency_mult)
-        if latency > 0:
+        if latency > 0 and not self.sim.sleep_inline(latency):
             yield self.sim.timeout(latency)
         self.stats.counter(f"fabric.bytes.{tag}").add(nbytes)
         self.stats.tally("fabric.transfer_usec").record(self.sim.now - t_start)

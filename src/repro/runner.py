@@ -202,10 +202,10 @@ class _Scenario:
                 stats=self.stats,
                 fabric=self.fabric,
                 hpbd_servers=self.servers,
-                # A fleet's tenants have no one client to starve.
-                hpbd_client=(
-                    self.hosts[0].client if self.registry is None else None
-                ),
+                hpbd_clients=[
+                    host.client for host in self.hosts
+                    if host.client is not None
+                ],
                 nbd_server=self.nbd_server,
             )
 

@@ -56,7 +56,8 @@ the sole waiter of a callback-free event other than ``run()``'s
 whether an event it posts now would fire before anything else.  An event
 that would fire next, with nothing posted in between, is equivalent to
 running its waiter inline: ``seq`` gains a gap and every other entry
-keeps its relative order.  ``Resource.grant_inline`` and the HPBD
+keeps its relative order.  :meth:`Simulator.sleep_inline`,
+``Resource.grant_inline``, ``TokenBucket.grant_inline`` and the HPBD
 server's poll skip build on it.
 
 Allocation notes carried over from PR 2: callbacks are plain lists,
@@ -721,6 +722,27 @@ class Simulator:
             self._post(when, _NORMAL_BASE + self._seq, to)
             return to
         return Timeout(self, delay, value)
+
+    def sleep_inline(self, delay: float) -> bool:
+        """Advance the clock by ``delay`` without an event, or return False.
+
+        Succeeds only when the timeout :meth:`timeout` would post, at
+        NORMAL priority, would be the next event to fire: the queue head
+        (see ``_head``) is later than ``now + delay``, or due at that
+        instant at LAZY priority or as ``run()``'s deadline marker.  The
+        clock then moves to exactly the time the timeout would have
+        fired at, and the caller continues where it would have resumed.
+        On False, yield ``timeout(delay)`` as usual.  A bad ``delay``
+        raises as :meth:`timeout` does.
+        """
+        when = self.now + delay
+        if not (delay >= 0.0 and when < _INF):
+            raise _bad_delay(self.now, delay)
+        head, key, _event = self._head()
+        if head < when or (head == when and key < _LAZY_BASE):
+            return False
+        self.now = when
+        return True
 
     def timeout_at(self, when: float) -> Timeout:
         """A timeout that fires at the absolute time ``when`` (>= now).

@@ -14,7 +14,8 @@ onto kernel objects in the modelled system:
 * :class:`WaitQueue` — condition-variable-style sleep/wakeup; models the
   buffer-pool allocation wait queue and kswapd wakeups.
 * :class:`TokenBucket` — counted credits with blocking acquire of N;
-  models the HPBD water-mark flow control.
+  models the HPBD water-mark flow control.  Its hot caller tries
+  ``grant_inline(n)`` first, as for a Resource.
 """
 
 from __future__ import annotations
@@ -26,6 +27,14 @@ from .core import _LAZY_BASE, Event, Simulator
 from .errors import SimulationError
 
 __all__ = ["Resource", "Mutex", "Store", "WaitQueue", "TokenBucket"]
+
+
+def _grant_fires_next(sim: Simulator) -> bool:
+    """True when a grant event succeeded now at NORMAL priority would be
+    the next event to fire: the queue head is not due now at URGENT or
+    NORMAL priority (see ``Simulator._head``)."""
+    when, key, _event = sim._head()
+    return when > sim.now or key >= _LAZY_BASE
 
 
 class Resource:
@@ -106,11 +115,11 @@ class Resource:
             raise ValueError(
                 f"{self.name}: cannot acquire {units} of {self.capacity}"
             )
-        if self._waiters or self._available < units:
-            return False
-        sim = self.sim
-        when, key, _event = sim._head()
-        if when <= sim.now and key < _LAZY_BASE:
+        if (
+            self._waiters
+            or self._available < units
+            or not _grant_fires_next(self.sim)
+        ):
             return False
         self._account()
         self._available -= units
@@ -346,6 +355,20 @@ class TokenBucket:
             self.stall_count += 1
             self._waiters.append((evt, n))
         return evt
+
+    def grant_inline(self, n: int = 1) -> bool:
+        """Take ``n`` credits without an event, or return False.
+
+        The rule of :meth:`Resource.grant_inline`: only when
+        :meth:`acquire` would grant at once and its grant event would
+        fire next.  On False, yield ``acquire(n)`` as usual.
+        """
+        if n < 1 or n > self.capacity:
+            raise ValueError(f"{self.name}: bad credit count {n}")
+        if self._waiters or self._tokens < n or not _grant_fires_next(self.sim):
+            return False
+        self._tokens -= n
+        return True
 
     def release(self, n: int = 1) -> None:
         self._tokens += n

@@ -428,6 +428,32 @@ class TestControlPlaneCorruption:
         assert ctrs["timeouts"] > 0
         assert ctrs["servers_dead"] == 0
 
+    def test_fleet_tenants_survive_corrupted_replies(self):
+        """Every tenant's client drops a corrupted reply and lets its
+        watchdog retransmit, as a single node's client does."""
+        from repro.cluster import run_cluster_scenario
+
+        tenants = [
+            TenantSpec(
+                name=f"t{i}",
+                workload=TestswapWorkload(size_bytes=4 * MiB),
+                mem_bytes=2 * MiB,
+                swap_bytes=8 * MiB,
+            )
+            for i in range(2)
+        ]
+        cfg = ClusterScenarioConfig(
+            tenants=tenants,
+            nservers=2,
+            mem_reserved_bytes=MiB,
+            faults=FaultConfig(
+                plan=FaultPlan(ctrl_corrupt_prob=0.05, seed=3)
+            ),
+        )
+        result = run_cluster_scenario(cfg)
+        assert result.registry.get("fault.ctrl_corrupted").count > 0
+        assert result.invariant_violations == []
+
     def test_same_seed_same_corruption(self):
         def once():
             cfg = _fault_scenario(

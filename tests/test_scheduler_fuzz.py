@@ -141,15 +141,17 @@ def test_wheel_fires_in_heap_order(program):
 
 # -- next-to-fire elision --------------------------------------------------
 #
-# ``Resource.grant_inline`` skips a grant event that would fire next.
-# The property: random process mixes fire the same (time, who, step)
-# trace with the elision as with ``_head`` refusing every time (the
-# plain event path), on both backends.
+# ``Resource.grant_inline`` skips a grant event that would fire next,
+# ``Simulator.sleep_inline`` a timeout.  The property: random process
+# mixes fire the same (time, who, step) trace with the elisions as with
+# ``_head`` refusing every time (the plain event path), on both
+# backends.
 #
 # A process step is a tuple whose first field names it:
-#   ("sleep", delay)
+#   ("sleep", delay)             sleep (inline if the timeout would
+#                                fire next)
 #   ("grant", res, units, hold)  take units (inline if it would fire
-#                                next), hold them, release them
+#                                next), hold them (a sleep), release
 #   ("post", prio, n)            n fresh logged events succeeded now
 #   ("wait", k)                  wait on shared event k
 #   ("fire", k, prio, ncb)       give shared event k ncb logging
@@ -214,7 +216,10 @@ def _execute_mix(mix, scheduler: str, elide: bool):
         for i, step in enumerate(steps):
             kind = step[0]
             if kind == "sleep":
-                yield sim.timeout(step[1])
+                if sim.sleep_inline(step[1]):
+                    inline += 1
+                else:
+                    yield sim.timeout(step[1])
             elif kind == "grant":
                 res = resources[step[1]]
                 units = min(step[2], res.capacity)
@@ -224,7 +229,10 @@ def _execute_mix(mix, scheduler: str, elide: bool):
                     yield res.acquire(units)
                 log.append((sim.now, pid, i, "got"))
                 if step[3]:
-                    yield sim.timeout(step[3])
+                    if sim.sleep_inline(step[3]):
+                        inline += 1
+                    else:
+                        yield sim.timeout(step[3])
                 res.release(units)
             elif kind == "post":
                 for _ in range(step[2]):
@@ -263,7 +271,7 @@ def _execute_mix(mix, scheduler: str, elide: bool):
 @settings(max_examples=800, deadline=None, derandomize=True, database=None)
 def test_inline_grants_fire_in_event_order(mix):
     reference, inline = _execute_mix(mix, "heap", elide=False)
-    assert inline == 0  # a refusing query takes no grant inline
+    assert inline == 0  # a refusing query takes nothing inline
     for scheduler in ("heap", "wheel"):
         assert _execute_mix(mix, scheduler, elide=False) == (reference, 0)
         assert _execute_mix(mix, scheduler, elide=True)[0] == reference

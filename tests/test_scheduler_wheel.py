@@ -12,7 +12,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulator import LAZY, NORMAL, URGENT, Resource, Simulator, Timeout
+from repro.simulator import (
+    LAZY,
+    NORMAL,
+    URGENT,
+    Resource,
+    Simulator,
+    Timeout,
+    TokenBucket,
+)
 from repro.simulator.core import _NBUCKETS, _W
 from repro.simulator.errors import NonFiniteTime, SchedulingInPast, SimulationError
 
@@ -402,6 +410,142 @@ class TestNextPopQuery:
         assert seen == [False, "cb", False]
         with pytest.raises(ValueError):
             res.grant_inline(2)  # units beyond capacity, as acquire()
+
+    def test_zero_sleep_taken_inline(self, scheduler):
+        sim = make_sim(scheduler)
+        seen = []
+
+        def proc(sim):
+            yield sim.timeout(5.0)
+            seen.append((sim.sleep_inline(0.0), sim.now))
+            sim.timeout(3.0)  # a later head does not block a 0 µs sleep
+            seen.append((sim.sleep_inline(0.0), sim.now))
+
+        sim.run(until=sim.spawn(proc(sim)))
+        assert seen == [(True, 5.0), (True, 5.0)]
+
+    def test_sleep_taken_inline_before_the_head(self, scheduler):
+        """An empty queue, then a head after ``now + delay``: the clock
+        moves to exactly ``now + delay``, as the timeout would fire."""
+        sim = make_sim(scheduler)
+        seen = []
+
+        def proc(sim):
+            yield sim.timeout(0.1)
+            seen.append((sim.sleep_inline(0.2), sim.now))
+            sim.schedule_call(10.0, lambda: seen.append(("call", sim.now)))
+            seen.append((sim.sleep_inline(9.0), sim.now))
+
+        sim.run(until=sim.spawn(proc(sim)))
+        sim.run()
+        assert seen == [
+            (True, 0.1 + 0.2), (True, 0.1 + 0.2 + 9.0), ("call", 0.1 + 0.2 + 10.0)
+        ]
+
+    def test_sleep_to_a_normal_head_refused(self, scheduler):
+        """A NORMAL head at ``now + delay`` was posted first, so it
+        fires before the timeout would."""
+        sim = make_sim(scheduler)
+        order = []
+
+        def proc(sim):
+            yield sim.timeout(1.0)
+            sim.schedule_call(4.0, lambda: order.append("head"))
+            assert not sim.sleep_inline(4.0)
+            assert sim.now == 1.0
+            yield sim.timeout(4.0)
+            order.append("slept")
+
+        sim.run(until=sim.spawn(proc(sim)))
+        assert order == ["head", "slept"]
+
+    def test_sleep_to_a_lazy_head_or_deadline_taken(self, scheduler):
+        """At ``now + delay`` a LAZY head, or ``run(until=<float>)``'s
+        marker, sorts after the NORMAL timeout: the sleep goes inline."""
+        sim = make_sim(scheduler)
+        order = []
+
+        def proc(sim):
+            yield sim.timeout(1.0)
+            sim.schedule_call(4.0, lambda: order.append("lazy"), LAZY)
+            assert sim.sleep_inline(4.0)
+            order.append(("slept", sim.now))
+            yield sim.timeout(1.0)  # at 6.0: the deadline is at 8.0
+            assert sim.sleep_inline(2.0)
+            order.append(("slept", sim.now))
+            assert not sim.sleep_inline(1.0)  # past the deadline
+            yield sim.timeout(1.0)
+            order.append(("resumed", sim.now))
+
+        sim.spawn(proc(sim))
+        sim.run(until=8.0)
+        order.append(("until", sim.now))
+        sim.run()
+        assert order == [
+            ("slept", 5.0), "lazy", ("slept", 8.0), ("until", 8.0),
+            ("resumed", 9.0),
+        ]
+
+    def test_no_inline_sleep_outside_a_sole_resume(self, scheduler):
+        """Resumed by an event that still has a callback to run, or by
+        ``run()``'s ``until``: every sleep, even of 0 µs, is refused."""
+        sim = make_sim(scheduler)
+        wake = [sim.event("w0"), sim.event("w1")]
+        seen = []
+
+        def proc(sim):
+            yield wake[0]
+            seen.append(sim.sleep_inline(0.0))
+            seen.append(sim.sleep_inline(2.0))
+            yield wake[1]
+            seen.append(sim.sleep_inline(2.0))
+
+        sim.spawn(proc(sim))
+        sim.run(until=1.0)
+        wake[0].callbacks.append(lambda _e: seen.append("cb"))
+        wake[0].succeed()
+        sim.run(until=2.0)
+        wake[1].succeed()
+        sim.run(until=wake[1])
+        assert seen == [False, False, "cb", False]
+        assert sim.now == 2.0
+        assert not sim.sleep_inline(1.0)  # no process running at all
+
+    def test_bad_sleep_rejected_as_timeout_does(self, scheduler):
+        sim = make_sim(scheduler)
+        sim.run(until=3.0)
+        for delay, error in (
+            (-1.0, SchedulingInPast),
+            (float("inf"), NonFiniteTime),
+            (float("nan"), NonFiniteTime),
+        ):
+            with pytest.raises(error):
+                sim.timeout(delay)
+            with pytest.raises(error):
+                sim.sleep_inline(delay)
+        assert sim.now == 3.0
+
+    def test_credit_grant_taken_inline_when_it_fires_next(self, scheduler):
+        sim = make_sim(scheduler)
+        bucket = TokenBucket(sim, 2)
+        seen = []
+
+        def proc(sim):
+            yield sim.timeout(5.0)
+            seen.append(bucket.grant_inline(2))
+            seen.append(bucket.grant_inline())  # no credits left
+            bucket.release(2)
+            sim.event("due").succeed()  # a NORMAL entry due now blocks
+            seen.append(bucket.grant_inline())
+            yield bucket.acquire()
+            bucket.release()
+
+        sim.run(until=sim.spawn(proc(sim)))
+        assert seen == [True, False, False]
+        assert bucket.tokens == 2
+        assert bucket.stall_count == 0
+        with pytest.raises(ValueError):
+            bucket.grant_inline(3)  # more than the water-mark, as acquire()
 
     def test_timeout_at_is_exact(self, scheduler):
         now, when = 4.6776140491268166, 762.1810116633841
