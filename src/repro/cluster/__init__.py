@@ -12,8 +12,8 @@ client.  This package supplies the pieces a shared fleet needs:
   NACKs and overcommit;
 * :mod:`.qos`        — weighted-fair credit partitioning and service
   scheduling per tenant;
-* :mod:`.migration`  — chunk migration between servers over a fluid
-  bulk channel (elastic-fleet enabler).
+* :mod:`.migration`  — throttled bulk copies between servers over a
+  fluid channel (the repair path's transfer).
 
 :mod:`repro.runner` builds a cluster run: its tenant hosts plus the
 fleet they share.

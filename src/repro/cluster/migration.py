@@ -1,53 +1,42 @@
-"""Chunk migration between memory servers over a fluid bulk channel.
+"""Bulk copies between memory servers over a fluid bulk channel.
 
-The ROADMAP's elastic-fleet work (drain a server before maintenance,
-rebalance after admission skew, INDIGO-style page-migration campaigns)
-all reduce to the same primitive: move a tenant's chunk from one server
-to another without perturbing the request path.  A chunk is megabytes —
-thousands of pages — so modelling it page-by-page through the scheduler
-is exactly the event-chain shape the fluid fast path collapses:
-uncontended, untraced migrations cost O(1) events per chunk, while a
-tracer, a fault window, or a competing migration on the same uplink
-expands them to per-page fidelity with bit-identical completion times
-(see :mod:`repro.simulator.fluid`).
-
-Capacity accounting goes through the :class:`~repro.cluster.registry.
-FleetRegistry` ledger: the destination extent is reserved *before* the
-copy starts (migration must never oversubscribe a server) and the
-source extent is released only after the copy completes (the chunk is
-never homeless); both edges land in the registry's conservation
-monitors.
+Background repair (:mod:`repro.redundancy.repair`) moves a lost
+shard's bytes from the survivors to the rebuilt member.  A shard is
+megabytes — thousands of pages — so modelling it page-by-page through
+the scheduler is exactly the event-chain shape the fluid fast path
+collapses: an uncontended, untraced copy costs O(1) events, while a
+tracer, a fault window, or a competing copy on the same uplink expands
+it to per-page fidelity with bit-identical completion times (see
+:mod:`repro.simulator.fluid`).  The copy moves bytes only; the caller
+keeps the fleet's capacity ledger.
 """
 
 from __future__ import annotations
 
-from ..simulator import Process, Simulator, StatsRegistry
+from ..simulator import Simulator, StatsRegistry
 from ..simulator.fluid import FluidChannel
-from .registry import FleetRegistry
 
 __all__ = ["ChunkMigrator"]
 
 
 class ChunkMigrator:
-    """Moves tenant chunks between servers over one shared bulk channel.
+    """Copies tenant data between servers over one shared bulk channel.
 
     ``rate_bytes_per_usec`` models the migration uplink (defaults to
-    ~800 MB/s, a conservative share of one IB SDR link so migrations do
-    not shadow the request path).  Concurrent migrations share the
+    ~800 MB/s, a conservative share of one IB SDR link so copies do
+    not shadow the request path).  Concurrent copies share the
     channel fairly; each one is a :class:`BulkFlow` under the hood.
 
     ``throttle_mib_s`` caps the *aggregate* background-copy bandwidth
     below the channel rate: transfers are paced against a shared budget
     cursor, so concurrent copies queue behind one another instead of
     bursting at link speed (``mig.throttle_waits`` counts the stalls).
-    Background repair and elastic migration share this knob — recovery
-    traffic must never be modelled as free (INDIGO's point).
+    Recovery traffic must never be modelled as free (INDIGO's point).
     """
 
     def __init__(
         self,
         sim: Simulator,
-        registry: FleetRegistry,
         rate_bytes_per_usec: float = 800.0,
         page_bytes: int = 4096,
         name: str = "mig",
@@ -57,9 +46,8 @@ class ChunkMigrator:
         if throttle_mib_s is not None and throttle_mib_s <= 0:
             raise ValueError(f"bad migration throttle {throttle_mib_s}")
         self.sim = sim
-        self.registry = registry
         self.name = name
-        self.stats = stats if stats is not None else registry.stats
+        self.stats = stats if stats is not None else StatsRegistry()
         self.channel = FluidChannel(
             sim,
             rate_bytes_per_usec,
@@ -75,14 +63,15 @@ class ChunkMigrator:
         )
         #: simulation time up to which the throttle budget is spoken for
         self._throttle_cursor = 0.0
-        self._c_migrations = self.stats.counter(f"{name}.migrations")
         self._c_bytes = self.stats.counter(f"{name}.bytes")
-        self._c_failed = self.stats.counter(f"{name}.failed")
         self._c_throttle_waits = self.stats.counter(f"{name}.throttle_waits")
 
-    def _paced_transfer(self, nbytes: int, name: str):
-        """One bulk copy through the shared channel, paced against the
-        throttle budget; generator, returns the bytes moved."""
+    def bulk_copy(self, tenant: str, nbytes: int, label: str = "copy"):
+        """One copy through the shared channel, paced against the
+        throttle budget; generator, returns the bytes moved.  It moves
+        no reservation: repair restores data into space the tenant
+        already holds (or reserves explicitly for a spare rebuild), so
+        only the fabric cost and the throttle budget apply."""
         sim = self.sim
         rate = self.throttle_bytes_per_usec
         if rate is not None:
@@ -94,7 +83,9 @@ class ChunkMigrator:
                 self._c_throttle_waits.add()
                 yield sim.timeout(start - sim.now)
         t0 = sim.now
-        done = yield self.channel.transfer(nbytes, name=name)
+        done = yield self.channel.transfer(
+            nbytes, name=f"{self.name}.{tenant}.{label}"
+        )
         if rate is not None:
             # The channel may run faster than the throttle; pad the
             # copy out to its paced duration so the modelled bandwidth
@@ -102,60 +93,5 @@ class ChunkMigrator:
             remaining = (t0 + nbytes / rate) - sim.now
             if remaining > 0:
                 yield sim.timeout(remaining)
-        return done
-
-    def migrate(
-        self, tenant: str, src: int, dst: int, nbytes: int
-    ) -> Process:
-        """Move ``nbytes`` of ``tenant``'s data from server ``src`` to
-        ``dst``; returns the driving process (join it with ``yield``).
-        The process value is the destination store offset.
-
-        Reserve-before-copy happens *here*, synchronously: a migration
-        that cannot fit on the destination raises
-        :class:`~repro.cluster.registry.CapacityError` at the call site,
-        before any simulated bytes move (mirroring how admission NACKs
-        surface).
-        """
-        if src == dst:
-            raise ValueError(f"migration src == dst ({src})")
-        try:
-            offset = self.registry.reserve(tenant, dst, nbytes)
-        except Exception:
-            self._c_failed.add()
-            raise
-        return self.sim.spawn(
-            self._run(tenant, src, dst, nbytes, offset),
-            name=f"{self.name}.move",
-        )
-
-    def bulk_copy(self, tenant: str, nbytes: int, label: str = "copy"):
-        """A raw throttled copy with no reservation movement; generator,
-        returns the bytes moved.  The repair path uses this — repair
-        restores data into space the tenant already holds (or reserves
-        explicitly for a spare rebuild), so only the fabric cost and the
-        throttle budget apply."""
-        done = yield from self._paced_transfer(
-            nbytes, name=f"{self.name}.{tenant}.{label}"
-        )
         self._c_bytes.add(int(done))
         return done
-
-    def _run(self, tenant: str, src: int, dst: int, nbytes: int, offset: int):
-        sim = self.sim
-        t0 = sim.now
-        done = yield from self._paced_transfer(
-            nbytes, name=f"{self.name}.{tenant}"
-        )
-        self.registry.release(tenant, src, nbytes)
-        self._c_migrations.add()
-        self._c_bytes.add(int(done))
-        trace = sim.trace
-        if trace.enabled:
-            trace.complete(
-                self.name, "cluster", "migrate", "mig.move",
-                t0, sim.now,
-                tenant=tenant, src=src, dst=dst, nbytes=nbytes,
-                dst_offset=offset,
-            )
-        return offset

@@ -119,6 +119,10 @@ class _Inflight:
 
     pending: _Pending
     seg: Segment
+    #: device byte offset where ``seg`` starts (the disk fallback's
+    #: target); ``split`` yields segments in device order, so the sender
+    #: keeps it as a running sum
+    offset: int
     op: str
     buf: PoolBuffer | None = None  # pool mode
     mr: object = None  # register-on-the-fly mode (MemoryRegion)
@@ -525,21 +529,28 @@ class HPBDClient:
         sim = self.sim
         while True:
             req = yield self.queue.next_request()
-            segs = self.dist.split(req.sector * SECTOR_SIZE, req.nbytes)
+            offset = req.sector * SECTOR_SIZE
+            segs = self.dist.split(offset, req.nbytes)
             if len(segs) > 1:
                 self._c_split.add()
             pending = _Pending(req=req, nsegs=len(segs), submit_time=sim.now)
             for seg in segs:
-                yield from self._issue_segment(pending, seg, req)
+                yield from self._issue_segment(pending, seg, offset, req)
+                offset += seg.nbytes
 
-    def _issue_segment(self, pending: _Pending, seg: Segment, req: BlockRequest):
-        """Buffer setup + first attempt(s) for one physical request."""
+    def _issue_segment(
+        self, pending: _Pending, seg: Segment, offset: int, req: BlockRequest
+    ):
+        """Buffer setup + first attempt(s) for one physical request
+        (``seg``, which starts at device byte ``offset``)."""
         sim = self.sim
         trace = sim.trace
         token = None
         if req.op == WRITE:
             token = (self.name, req.sector, seg.server_offset, seg.nbytes)
-        entry = _Inflight(pending=pending, seg=seg, op=req.op, token=token)
+        entry = _Inflight(
+            pending=pending, seg=seg, offset=offset, op=req.op, token=token
+        )
         if self.redundancy is not None and req.op == WRITE:
             # Open-writes registry: any copy of this write may still be
             # unapplied somewhere until the last ack, so repair's
@@ -1565,18 +1576,19 @@ class HPBDClient:
     def _fallback_io(self, entry: _Inflight):
         """Serve one segment from the local swap disk instead; generator.
 
-        A split segment lies inside one chunk, so the fallback bio
-        targets the same absolute device range.
+        The fallback bio targets the segment's own device range,
+        ``entry.offset`` onwards; a coalesced segment may span several
+        chunks of one server, and the range stays contiguous on the
+        device.
         """
         sim = self.sim
         seg = entry.seg
         t0 = sim.now
-        abs_offset = self.dist.absolute_offset(seg)
         done = Event(sim, name=f"{self.name}.fallback")
         self.fallback_queue.submit_bio(
             Bio(
                 op=entry.op,
-                sector=abs_offset // SECTOR_SIZE,
+                sector=entry.offset // SECTOR_SIZE,
                 nsectors=seg.nbytes // SECTOR_SIZE,
                 done=done,
                 submit_time=sim.now,

@@ -241,23 +241,6 @@ class ChunkMapDistribution:
         c = self._chunk_at(offset)
         return c.server, c.server_offset + (offset - c.start)
 
-    def absolute_offset(self, seg: Segment) -> int:
-        """Device byte offset of a segment (inverse of :meth:`locate`).
-
-        Split segments never cross a chunk boundary, so each maps back
-        into exactly one chunk — which keeps the disk-fallback degraded
-        mode working under any placement policy.
-        """
-        for c in self.chunks:
-            if (
-                c.server == seg.server
-                and c.server_offset
-                <= seg.server_offset
-                < c.server_offset + c.nbytes
-            ):
-                return c.start + (seg.server_offset - c.server_offset)
-        raise ValueError(f"segment {seg} not in chunk map")
-
     def split(self, offset: int, nbytes: int) -> list[Segment]:
         """Split ``[offset, offset+nbytes)`` into per-chunk segments,
         coalescing neighbours that are contiguous on the same server."""

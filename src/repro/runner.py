@@ -410,7 +410,6 @@ class _Scenario:
         if redundant and crashes:
             self.migrator = ChunkMigrator(
                 self.sim,
-                self.registry,
                 stats=self.stats,
                 throttle_mib_s=cfg.migration_throttle_mib_s,
             )

@@ -13,14 +13,12 @@ Public surface::
 from .core import LAZY, NORMAL, URGENT, Event, Process, Simulator, Timeout
 from .errors import (
     AlreadyTriggered,
-    DeadProcess,
-    Interrupted,
     NonFiniteTime,
     SchedulingInPast,
     SimulationError,
 )
 from .fluid import BulkFlow, FluidChannel
-from .resources import Mutex, Resource, Store, TokenBucket, WaitQueue
+from .resources import Resource, Store, TokenBucket, WaitQueue
 from .stats import Counter, StatsRegistry, Tally, TimeSeries
 from .sync import all_of, any_of
 
@@ -33,7 +31,6 @@ __all__ = [
     "NORMAL",
     "LAZY",
     "Resource",
-    "Mutex",
     "Store",
     "WaitQueue",
     "TokenBucket",
@@ -49,6 +46,4 @@ __all__ = [
     "SchedulingInPast",
     "NonFiniteTime",
     "AlreadyTriggered",
-    "DeadProcess",
-    "Interrupted",
 ]

@@ -32,14 +32,10 @@ the ``REPRO_SCHEDULER`` env var, default ``"wheel"``):
 * ``"heap"`` — the PR 2 binary heap, kept as the equivalence baseline.
 
 Each backend posts through one method (``_heap_post`` / ``_wheel_post``,
-bound to ``_post``) that handles the solo slot and the placement in a
-single frame.  Both modes share three fast paths that sit *in front of*
-the structure, so they cannot change the firing order:
+bound to ``_post``) that places the entry in a single frame.  Both modes
+share two fast paths that sit *in front of* the structure, so they
+cannot change the firing order:
 
-* the **solo slot**: when the queue is otherwise empty the single pending
-  entry is parked in ``_solo`` and dispatched without touching any
-  structure — pure timeout churn (one process sleeping in a loop) never
-  pays for the calendar at all;
 * the **owner slot**: a process that is the *sole* waiter of an event is
   stored in ``event.owner`` instead of appending a bound-method callback,
   and the drain loop resumes its generator inline (no bound-method
@@ -82,12 +78,9 @@ from ..obs.monitors import MonitorHub
 from ..obs.trace import NULL_TRACE, TraceRecorder
 from .errors import (
     AlreadyTriggered,
-    DeadProcess,
-    Interrupted,
     NonFiniteTime,
     SchedulingInPast,
     SimulationError,
-    StopProcess,
 )
 
 __all__ = [
@@ -181,9 +174,10 @@ class Event:
         self.callbacks: list[Callable[[Event], None]] | None = []
         self._value: Any = _PENDING
         self._ok: bool | None = None
-        #: set when the last process waiting on this event was
-        #: interrupted away — queues treat such waits as cancelled and
-        #: must not grant resources to them (see resources.py).
+        #: set by a waiter that gave up on this event (say, when a timer
+        #: won an ``any_of`` race against it) — queues treat such waits
+        #: as cancelled and must not grant resources to them (see
+        #: resources.py).
         self.abandoned = False
         #: the *sole-waiter* fast path: the first process to wait on a
         #: callback-free event is stored here instead of appending a
@@ -245,13 +239,6 @@ class Event:
         sim._seq += 1
         sim._post(sim.now, (priority << _PRIO_SHIFT) + sim._seq, self)
         return self
-
-    def trigger(self, other: "Event") -> None:
-        """Mirror another (triggered) event's outcome onto this one."""
-        if other._ok:
-            self.succeed(other._value)
-        else:
-            self.fail(other._value)
 
     def cancel(self) -> None:
         """Tombstone the event: it will be silently discarded, not fired.
@@ -320,7 +307,7 @@ class Process(Event):
     processes can ``result = yield proc``.
     """
 
-    __slots__ = ("_gen", "_waiting_on")
+    __slots__ = ("_gen",)
 
     def __init__(self, sim: "Simulator", gen: ProcessGen, name: str = "") -> None:
         if not hasattr(gen, "throw"):
@@ -329,8 +316,6 @@ class Process(Event):
             )
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self._gen = gen
-        #: the event this process is currently blocked on (None if ready)
-        self._waiting_on: Event | None = None
         # Kick-off: an urgent pre-triggered event owned by this process
         # (drawn from the free list when one is available); the drain
         # loop's owner path performs the first resume.
@@ -343,92 +328,34 @@ class Process(Event):
     def is_alive(self) -> bool:
         return self._value is _PENDING
 
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupted` into the process at the current time.
-
-        A process cannot interrupt itself and a dead process cannot be
-        interrupted.  The interrupt detaches the process from whatever
-        event it was waiting on (the event itself is unaffected and may
-        still fire for other waiters).
-        """
-        if not self.is_alive:
-            raise DeadProcess(f"{self.name} already terminated")
-        if self.sim.active_process is self:
-            raise SimulationError("a process cannot interrupt itself")
-        waiting = self._waiting_on
-        if waiting is not None and waiting.callbacks is not None:
-            if waiting.owner is self:
-                waiting.owner = None
-            else:
-                try:
-                    waiting.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-            if waiting.owner is None and not waiting.callbacks:
-                # Nobody is listening any more: let resource queues
-                # know this wait is dead so they skip it.
-                waiting.abandoned = True
-        self._waiting_on = None
-        # Deliver via a dedicated urgent event so ordering stays in the queue.
-        sim = self.sim
-        evt = sim._internal_event(
-            "interrupt", False, Interrupted(cause), self._deliver_interrupt
-        )
-        sim._seq += 1
-        sim._post(sim.now, _URGENT_BASE + sim._seq, evt)
-
     # -- internals -------------------------------------------------------
 
-    def _deliver_interrupt(self, evt: Event) -> None:
-        if not self.is_alive:  # died before delivery; drop silently
-            return
-        self._step(throw=evt._value)
-
     def _resume(self, evt: Event) -> None:
-        self._waiting_on = None
-        if evt._ok:
-            self._step(send=evt._value)
-        else:
-            self._step(throw=evt._value)
-
-    def _step(self, send: Any = None, throw: BaseException | None = None) -> None:
+        """Resume the generator with ``evt``'s outcome: the callback path,
+        for a process that waits on ``evt`` behind its owner."""
         sim = self.sim
         prev, sim.active_process = sim.active_process, self
         try:
-            if throw is not None:
-                target = self._gen.throw(throw)
+            if evt._ok:
+                target = self._gen.send(evt._value)
             else:
-                target = self._gen.send(send)
-        except StopIteration as stop:
-            sim.active_process = prev
-            self.succeed(stop.value)
-            return
-        except StopProcess:
-            sim.active_process = prev
-            self.succeed(None)
-            return
+                target = self._gen.throw(evt._value)
         except BaseException as exc:
             sim.active_process = prev
-            if sim.strict:
-                self.fail(exc)
-                raise
-            self.fail(exc)
+            self._terminate(exc)
             return
-        finally:
-            sim.active_process = prev
+        sim.active_process = prev
         self._arm(target)
 
     def _terminate(self, exc: BaseException) -> None:
         """Finish the process after its generator raised ``exc``.
 
-        Called from the drain loop's inline-resume path (the equivalent
-        ``except`` arms of :meth:`_step`); re-raises in strict mode with
+        Called from the ``except`` arm of a resume (here and in the
+        drain loop's inline-resume path); re-raises in strict mode with
         the original traceback.
         """
         if isinstance(exc, StopIteration):
             self.succeed(exc.value)
-        elif isinstance(exc, StopProcess):
-            self.succeed(None)
         else:
             self.fail(exc)
             if self.sim.strict:
@@ -455,17 +382,14 @@ class Process(Event):
             relay.owner = self
             sim._seq += 1
             sim._post(sim.now, _URGENT_BASE + sim._seq, relay)
-            self._waiting_on = relay
         elif target.owner is None and not target.callbacks:
             if target.cancelled:
                 raise SimulationError(
                     f"process {self.name!r} yielded cancelled event {target!r}"
                 )
             target.owner = self
-            self._waiting_on = target
         else:
             target.callbacks.append(self._resume)
-            self._waiting_on = target
 
 
 class Simulator:
@@ -489,13 +413,6 @@ class Simulator:
         self.active_process: Process | None = None
         self._seq = 0
         self._event_count = 0
-        #: the solo slot: the single pending entry when the rest of the
-        #: queue is empty.  Every push goes through ``_post``, which
-        #: demotes the slot into the structure the moment a second entry
-        #: arrives, so ordering is unaffected.
-        self._solo: tuple[float, int, Event] | None = None
-        #: entries living in the backing structure (everything but solo).
-        self._nstruct = 0
         # -- heap backend ------------------------------------------------
         self._heap: list[tuple[float, int, Event]] = []
         # -- wheel backend -----------------------------------------------
@@ -523,11 +440,11 @@ class Simulator:
             scheduler = os.environ.get("REPRO_SCHEDULER", "wheel")
         if scheduler == "wheel":
             self._post = self._wheel_post
-            self._pop_struct = self._wheel_pop
+            self._pop = self._wheel_pop
             self._head = self._wheel_head
         elif scheduler == "heap":
             self._post = self._heap_post
-            self._pop_struct = self._heap_pop
+            self._pop = self._heap_pop
             self._head = self._heap_head
         else:
             raise ValueError(
@@ -554,53 +471,17 @@ class Simulator:
 
     # -- queue backends ---------------------------------------------------
 
-    # The solo slot is non-empty only while the structure is empty, so
-    # demoting it always starts the structure's count from zero.
-
     def _heap_post(self, when: float, key: int, event: Event) -> None:
-        """Queue an entry on the heap backend: solo slot or heap."""
-        solo = self._solo
-        if solo is not None:
-            self._solo = None
-            self._nstruct = 1
-            _heappush(self._heap, solo)
-        elif not self._nstruct:
-            self._solo = (when, key, event)
-            return
-        self._nstruct += 1
+        """Queue an entry on the heap backend."""
         _heappush(self._heap, (when, key, event))
 
     def _heap_pop(self) -> "tuple[float, int, Event] | None":
         heap = self._heap
-        if not heap:
-            return None
-        self._nstruct -= 1
-        return _heappop(heap)
+        return _heappop(heap) if heap else None
 
     def _wheel_post(self, when: float, key: int, event: Event) -> None:
-        """Queue an entry on the calendar: solo slot, current bucket,
-        wheel bucket or overflow heap."""
-        solo = self._solo
-        if solo is not None:
-            # A second entry arrived: the solo entry joins the calendar
-            # first, placed exactly as the new entry is below.
-            self._solo = None
-            self._nstruct = 1
-            t = solo[0]
-            if t < self._cur_end:
-                _heappush(self._cur, solo)
-            elif t < self._horizon:
-                g = int(t * _INV_W)
-                bucket = self._buckets[g % _NBUCKETS]
-                if not bucket:
-                    _heappush(self._occupied, g)
-                bucket.append(solo)
-            else:
-                _heappush(self._far, solo)
-        elif not self._nstruct:
-            self._solo = (when, key, event)
-            return
-        self._nstruct += 1
+        """Queue an entry on the calendar: current bucket, wheel bucket
+        or overflow heap."""
         if when < self._cur_end:
             _heappush(self._cur, (when, key, event))
         elif when < self._horizon:
@@ -651,7 +532,6 @@ class Simulator:
                         _heappush(occupied, g)
                     bucket.append(entry)
             _heapify(cur)
-        self._nstruct -= 1
         return _heappop(cur)
 
     # -- the next-pop query -------------------------------------------------
@@ -668,22 +548,16 @@ class Simulator:
     def _heap_head(self) -> "tuple[float, int, Event | None]":
         if not self._sole:
             return (self.now, _URGENT_BASE, None)
-        solo = self._solo
-        if solo is not None:
-            return solo
         heap = self._heap
         return heap[0] if heap else _NO_ENTRY
 
     def _wheel_head(self) -> "tuple[float, int, Event | None]":
         if not self._sole:
             return (self.now, _URGENT_BASE, None)
-        solo = self._solo
-        if solo is not None:
-            return solo
         if self._cur:
             return self._cur[0]
         # _cur can be empty while entries due now sit in a wheel bucket:
-        # a solo pop may have moved the clock past _cur_end.  Every
+        # an inline sleep may have moved the clock past _cur_end.  Every
         # bucket entry lies below every overflow entry.
         if self._occupied:
             return min(self._buckets[self._occupied[0] % _NBUCKETS])
@@ -767,29 +641,19 @@ class Simulator:
         self._post(when, _NORMAL_BASE + self._seq, to)
         return to
 
-    def _internal_event(
-        self,
-        name: str,
-        ok: bool,
-        value: Any,
-        callback: "Callable[[Event], None] | None" = None,
-    ) -> Event:
-        """A pre-triggered internal event (init/relay/interrupt), pooled.
+    def _internal_event(self, name: str, ok: bool, value: Any) -> Event:
+        """A pre-triggered internal event (init/relay), pooled.
 
-        The caller is responsible for queueing it (and for setting
-        ``owner`` when the waiter is a process rather than a callback).
+        The caller is responsible for queueing it and for setting
+        ``owner`` to the process it resumes.
         """
         pool = self._event_pool
         if pool:
             evt = pool.pop()
             evt.abandoned = False
             evt.name = name
-            if callback is not None:
-                evt.callbacks.append(callback)
         else:
             evt = Event(self, name)
-            if callback is not None:
-                evt.callbacks.append(callback)
         evt._ok = ok
         evt._value = value
         return evt
@@ -797,9 +661,6 @@ class Simulator:
     def spawn(self, gen: ProcessGen, name: str = "") -> Process:
         """Start a new process from generator ``gen``."""
         return Process(self, gen, name)
-
-    # `process` alias mirrors SimPy naming for familiarity.
-    process = spawn
 
     # -- scheduling -------------------------------------------------------
 
@@ -834,9 +695,6 @@ class Simulator:
         scan its buckets rather than keep them sorted.
         """
         best = float("inf")
-        solo = self._solo
-        if solo is not None and not solo[2].cancelled:
-            best = solo[0]
         for entry in self._heap:
             if entry[0] < best and not entry[2].cancelled:
                 best = entry[0]
@@ -851,71 +709,6 @@ class Simulator:
             if entry[0] < best and not entry[2].cancelled:
                 best = entry[0]
         return best
-
-    def _pop_next(self) -> "tuple[float, int, Event] | None":
-        solo = self._solo
-        if solo is not None:
-            self._solo = None
-            return solo
-        return self._pop_struct()
-
-    def step(self) -> None:
-        """Fire the single next live event (skipping tombstones)."""
-        while True:
-            entry = self._pop_next()
-            if entry is None:
-                raise IndexError("step from an empty queue")
-            when, _key, event = entry
-            if event.cancelled:
-                self._discard(event)
-                continue
-            if when < self.now:  # pragma: no cover - queue invariant
-                raise SchedulingInPast(self.now, when)
-            self.now = when
-            self._fire(event)
-            self._recycle(event)
-            return
-
-    def _fire(self, event: Event) -> None:
-        """Run an event's waiters: owner first, then callbacks, in order."""
-        callbacks = event.callbacks
-        event.callbacks = None
-        self._event_count += 1
-        owner = event.owner
-        if owner is not None:
-            event.owner = None
-            owner._waiting_on = None
-            if event._ok:
-                owner._step(send=event._value)
-            else:
-                owner._step(throw=event._value)
-        if callbacks:
-            for cb in callbacks:
-                cb(event)
-
-    def _discard(self, event: Event) -> None:
-        """Drop a tombstoned entry: mark processed, recycle, don't count."""
-        event.callbacks = None
-        event.owner = None
-        event.cancelled = False
-        self._recycle(event)
-
-    def _recycle(self, event: Event) -> None:
-        """Return a processed event to its free list — only if the run loop
-        holds the last reference, so events user code still points at are
-        never reused under it.  At the check, exactly three references
-        exist for a loop-only event: the caller's local, this function's
-        parameter, and ``getrefcount``'s own argument slot."""
-        cls = event.__class__
-        if cls is Timeout:
-            pool = self._timeout_pool
-        elif cls is Event:
-            pool = self._event_pool
-        else:
-            return
-        if _getrefcount(event) == 3 and len(pool) < _POOL_MAX:
-            event.callbacks = []
-            pool.append(event)
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run until the queue drains, a deadline passes, or an event fires.
@@ -966,28 +759,22 @@ class Simulator:
         """The inner event loop: pop → resume owner / fire callbacks → recycle.
 
         Stops when the queue empties or ``until`` has been processed.
-        The body is ``step()`` with the solo slot, the owner-slot
-        generator resume, and pooling all inlined: one method call per
-        event is measurable at tens of millions of events per run.
+        The owner-slot generator resume and pooling are inlined: one
+        method call per event is measurable at tens of millions of
+        events per run.
         """
         getrc = _getrefcount
         timeout_pool = self._timeout_pool
         event_pool = self._event_pool
-        pop_struct = self._pop_struct
+        pop = self._pop
         count = 0
         try:
             while True:
-                entry = self._solo
-                if entry is not None:
-                    self._solo = None
-                    when, _key, event = entry
-                    entry = None
-                else:
-                    entry = pop_struct()
-                    if entry is None:
-                        return
-                    when, _key, event = entry
-                    entry = None
+                entry = pop()
+                if entry is None:
+                    return
+                when, _key, event = entry
+                entry = None
                 if event.cancelled:
                     # Tombstone: drop without firing, counting, or
                     # advancing the clock; recycle when unreferenced.
@@ -1016,62 +803,18 @@ class Simulator:
                 owner = event.owner
                 if owner is not None:
                     # Inline sole-waiter resume: the body of
-                    # Process._resume/_step minus the frames and the
+                    # Process._resume minus the frames and the
                     # bound-method allocation.
                     event.owner = None
-                    owner._waiting_on = None
                     gen = owner._gen
                     prev = self.active_process
                     self.active_process = owner
-                    sole = not callbacks and event is not until
-                    self._sole = sole
+                    self._sole = not callbacks and event is not until
                     try:
                         if event._ok:
                             target = gen.send(event._value)
                         else:
                             target = gen.throw(event._value)
-                        # Fused solo spin: while the process keeps
-                        # yielding fresh solo timeouts (the pure-churn
-                        # shape: one sleeper, empty queue), consume them
-                        # here without re-entering the outer loop or
-                        # touching owner/_waiting_on — nothing else can
-                        # run between two solo events, so that
-                        # bookkeeping is unobservable.  Entered only
-                        # for a sole resume: no callback of the outer
-                        # event is delayed past its firing time, and a
-                        # resume by ``until`` still ends the drain.
-                        while (
-                            target.__class__ is Timeout
-                            and self._nstruct == 0
-                            and sole
-                            and (solo := self._solo) is not None
-                            and solo[2] is target
-                            and not target.cancelled
-                            and not target.callbacks
-                            and target is not until
-                        ):
-                            self._solo = None
-                            self.now = solo[0]
-                            solo = None
-                            spare = target.callbacks
-                            target.callbacks = None
-                            count += 1
-                            prev_evt = event
-                            event = target
-                            target = gen.send(event._value)
-                            # Recycle the event consumed one spin ago,
-                            # handing it the empty callback list of the
-                            # one just consumed (lists are conserved
-                            # around the spin, so reuse skips allocs).
-                            if prev_evt.__class__ is Timeout:
-                                if (
-                                    getrc(prev_evt) == 2
-                                    and len(timeout_pool) < _POOL_MAX
-                                ):
-                                    prev_evt.callbacks = spare
-                                    timeout_pool.append(prev_evt)
-                            prev_evt = None
-                            spare = None
                     except BaseException as exc:
                         self.active_process = prev
                         self._sole = False
@@ -1090,7 +833,6 @@ class Simulator:
                                 # Fresh timeout, no other waiters: take
                                 # the owner slot without touching _arm.
                                 target.owner = owner
-                                owner._waiting_on = target
                             else:
                                 owner._arm(target)
                         else:

@@ -1,10 +1,10 @@
 """Exception types raised by the discrete-event simulation kernel.
 
-The kernel distinguishes between *programming* errors (scheduling in the
-past, resuming a dead process) and *simulation* control flow (a process
-being interrupted).  Interrupts are delivered by throwing
-:class:`Interrupted` into the target process generator, mirroring how a
-kernel thread sees ``-EINTR``.
+Each marks a misuse of the kernel or a run that cannot go on
+(scheduling in the past or at a non-finite time, triggering an event
+twice, running dry before an awaited event).  Simulated failures are
+not among them: they travel as ordinary exceptions carried by failed
+events.
 """
 
 from __future__ import annotations
@@ -35,23 +35,3 @@ class NonFiniteTime(SimulationError):
 class AlreadyTriggered(SimulationError):
     """An event was triggered (succeeded or failed) more than once."""
 
-
-class DeadProcess(SimulationError):
-    """An operation targeted a process that has already terminated."""
-
-
-class Interrupted(Exception):
-    """Thrown into a process generator by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries the value passed to ``interrupt``.
-    Not a :class:`SimulationError`: it is expected control flow and user
-    processes are allowed (encouraged) to catch it.
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(f"interrupted: {cause!r}")
-        self.cause = cause
-
-
-class StopProcess(Exception):
-    """Internal marker used to terminate a process from within a callback."""

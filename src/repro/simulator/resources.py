@@ -7,8 +7,6 @@ onto kernel objects in the modelled system:
   slots).  ``yield res.acquire()`` / ``res.release()``; hot callers try
   ``res.grant_inline()`` first and yield ``acquire()`` only when it
   refuses.
-* :class:`Mutex` — a Resource of capacity 1; models spinlocks guarding the
-  HPBD request queue and buffer pool.
 * :class:`Store` — an unbounded FIFO queue of items with blocking ``get``;
   models request queues between threads.
 * :class:`WaitQueue` — condition-variable-style sleep/wakeup; models the
@@ -26,7 +24,7 @@ from typing import Any
 from .core import _LAZY_BASE, Event, Simulator
 from .errors import SimulationError
 
-__all__ = ["Resource", "Mutex", "Store", "WaitQueue", "TokenBucket"]
+__all__ = ["Resource", "Store", "WaitQueue", "TokenBucket"]
 
 
 def _grant_fires_next(sim: Simulator) -> bool:
@@ -125,18 +123,6 @@ class Resource:
         self._available -= units
         return True
 
-    def try_acquire(self, units: int = 1) -> bool:
-        """Non-blocking acquire; True on success."""
-        if units < 1 or units > self.capacity:
-            raise ValueError(
-                f"{self.name}: cannot acquire {units} of {self.capacity}"
-            )
-        if not self._waiters and self._available >= units:
-            self._account()
-            self._available -= units
-            return True
-        return False
-
     def release(self, units: int = 1) -> None:
         self._account()
         self._available += units
@@ -151,7 +137,7 @@ class Resource:
                 f"({self._available}/{self.capacity})"
             )
         # FIFO hand-off: only the head may proceed (no barging).
-        # Skip waits abandoned by an interrupt — granting to them would
+        # Skip waits their waiter abandoned — granting to them would
         # leak capacity forever.
         while self._waiters:
             if self._waiters[0][0].abandoned:
@@ -162,23 +148,6 @@ class Resource:
             evt, n = self._waiters.popleft()
             self._available -= n
             evt.succeed(n)
-
-
-class Mutex(Resource):
-    """A capacity-1 resource with lock/unlock naming."""
-
-    def __init__(self, sim: Simulator, name: str = "") -> None:
-        super().__init__(sim, 1, name or "mutex")
-
-    def lock(self) -> Event:
-        return self.acquire(1)
-
-    def unlock(self) -> None:
-        self.release(1)
-
-    @property
-    def locked(self) -> bool:
-        return self.in_use > 0
 
 
 class Store:
@@ -201,31 +170,14 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    def _pop_live_getter(self) -> "Event | None":
-        while self._getters:
-            evt = self._getters.popleft()
-            if not evt.abandoned:
-                return evt
-        return None
-
     def put(self, item: Any) -> None:
         self.total_put += 1
-        getter = self._pop_live_getter()
-        if getter is not None:
-            getter.succeed(item)
-            return
+        while self._getters:
+            getter = self._getters.popleft()
+            if not getter.abandoned:
+                getter.succeed(item)
+                return
         self._items.append(item)
-        if len(self._items) > self.max_depth:
-            self.max_depth = len(self._items)
-
-    def put_front(self, item: Any) -> None:
-        """Requeue an item at the head (used for retried requests)."""
-        self.total_put += 1
-        getter = self._pop_live_getter()
-        if getter is not None:
-            getter.succeed(item)
-            return
-        self._items.appendleft(item)
         if len(self._items) > self.max_depth:
             self.max_depth = len(self._items)
 

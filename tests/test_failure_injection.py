@@ -354,6 +354,64 @@ class TestInjectedServerCrash:
         assert first[0] == second[0]
         assert first[1] == second[1]
 
+    def test_fallback_bios_target_their_segments_device_offsets(
+        self, sim, fabric
+    ):
+        """A request split over a striped map falls back segment by
+        segment: each disk bio covers its own segment's device range,
+        not the store range it had on the dead server."""
+        from repro.disk import DiskDevice
+        from repro.hpbd.striping import ChunkMapDistribution, striped_chunks
+
+        total = 4 * MiB
+        node = Node(sim, fabric, "c6", mem_bytes=16 * MiB)
+        servers = [
+            HPBDServer(
+                sim, fabric, f"m6{i}", store_bytes=total // 2,
+                stats=node.stats,
+            )
+            for i in range(2)
+        ]
+        dist = ChunkMapDistribution(
+            total, 2, striped_chunks(total, 2, 32 * KiB)
+        )
+        disk = DiskDevice(
+            sim, name="fb", swap_partition_bytes=total, stats=node.stats
+        )
+        bios = []
+        submit = disk.queue.submit_bio
+
+        def record(bio):
+            bios.append((bio.sector, bio.nsectors))
+            submit(bio)
+
+        disk.queue.submit_bio = record
+        client = HPBDClient(
+            sim, node, servers, total_bytes=total, distribution=dist,
+            degraded_mode="disk", fallback_queue=disk.queue,
+        )
+        sim.run(until=sim.spawn(client.connect()))
+        client.notify_server_down(1)
+        # 128 KiB from 1 MiB + 16 KiB: five segments alternating
+        # s0, s1, s0, s1, s0; server 1's two go to the disk.
+        start = MiB + 16 * KiB
+        assert len(dist.split(start, 128 * KiB)) == 5
+        done = Event(sim)
+
+        def proc(sim):
+            client.queue.submit_bio(
+                Bio(op=WRITE, sector=start // 512, nsectors=256, done=done)
+            )
+            client.queue.unplug()
+            yield done
+
+        sim.run(until=sim.spawn(proc(sim)))
+        assert bios == [
+            ((MiB + 32 * KiB) // 512, 64),
+            ((MiB + 96 * KiB) // 512, 64),
+        ]
+        assert client.stats.get("hpbd0.disk_fallbacks").count == 2
+
 
 class TestInjectedLinkTrouble:
     def test_link_degrade_recovers_with_retries(self):

@@ -1,4 +1,4 @@
-"""Fluid-flow bulk channel: collapse/expand correctness and migration.
+"""Fluid-flow bulk channel: collapse/expand correctness and bulk copies.
 
 The fast path's contract is absolute: an analytic (collapsed) transfer
 must finish at the *bit-identical* time the page-by-page discrete chain
@@ -141,56 +141,18 @@ class TestValidation:
 
 
 class TestMigration:
-    def _fleet(self, scheduler, nservers=3, capacity=64 * MiB):
-        from repro.cluster import ChunkMigrator, FleetRegistry
+    def test_concurrent_migrations_share_channel(self, scheduler):
+        """Two repair-style bulk copies started together share the
+        migrator's channel fairly."""
+        from repro.cluster import ChunkMigrator
 
         sim = Simulator(scheduler=scheduler)
-        reg = FleetRegistry(
-            sim, servers=[object()] * nservers, capacity_bytes=capacity
-        )
-        return sim, reg, ChunkMigrator(sim, reg)
-
-    def test_reserve_before_copy_release_after(self, scheduler):
-        sim, reg, mig = self._fleet(scheduler)
+        mig = ChunkMigrator(sim)
         nbytes = 4 * MiB
-        reg.reserve("t0", 0, nbytes)
 
         def driver(sim):
-            return (yield mig.migrate("t0", 0, 1, nbytes))
-
-        offset = sim.run(until=sim.spawn(driver(sim)))
-        assert offset == 0
-        assert reg.reserved == [0, nbytes, 0]
-        assert reg.by_tenant["t0"] == nbytes  # net unchanged
-        assert mig._c_migrations.count == 1
-        assert mig._c_bytes.total == nbytes
-
-    def test_destination_full_fails_before_any_bytes_move(self, scheduler):
-        from repro.cluster import CapacityError
-
-        sim, reg, mig = self._fleet(scheduler, capacity=8 * MiB)
-        reg.reserve("t0", 0, 4 * MiB)
-        reg.reserve("crowd", 1, 8 * MiB)  # dst is full
-        with pytest.raises(CapacityError):
-            mig.migrate("t0", 0, 1, 4 * MiB)  # synchronous, at call site
-        assert reg.reserved[0] == 4 * MiB  # source untouched
-        assert mig._c_failed.count == 1
-        assert sim.events_processed == 0  # no simulated copy started
-
-    def test_src_equals_dst_rejected(self, scheduler):
-        sim, reg, mig = self._fleet(scheduler)
-        with pytest.raises(ValueError):
-            mig.migrate("t0", 1, 1, MiB)
-
-    def test_concurrent_migrations_share_channel(self, scheduler):
-        sim, reg, mig = self._fleet(scheduler)
-        nbytes = 4 * MiB
-        reg.reserve("a", 0, nbytes)
-        reg.reserve("b", 1, nbytes)
-
-        def driver(sim):
-            pa = mig.migrate("a", 0, 2, nbytes)
-            pb = mig.migrate("b", 1, 2, nbytes)
+            pa = sim.spawn(mig.bulk_copy("a", nbytes))
+            pb = sim.spawn(mig.bulk_copy("b", nbytes))
             yield pa
             yield pb
             return sim.now
@@ -198,5 +160,5 @@ class TestMigration:
         end = sim.run(until=sim.spawn(driver(sim)))
         # two equal flows sharing the pipe: both finish together at 2x
         assert end == pytest.approx(2 * nbytes / mig.channel.rate)
-        assert reg.reserved == [0, 0, 2 * nbytes]
+        assert mig._c_bytes.total == 2 * nbytes
         assert mig.channel._c_expansions.count >= 1

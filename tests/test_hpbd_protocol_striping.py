@@ -184,14 +184,6 @@ class TestChunkMapDistribution:
         segs = d.split(0, 2 * MiB)
         assert segs == [Segment(0, 0, 2 * MiB)]
 
-    def test_absolute_offset_inverts_locate(self):
-        d = _alternating_map()
-        for off in (0, MiB, 2 * MiB, 5 * MiB - 4096, 8 * MiB - 4096):
-            (seg,) = d.split(off, 4096)
-            assert d.absolute_offset(seg) == off
-        with pytest.raises(ValueError):
-            d.absolute_offset(Segment(0, 64 * MiB, 4096))
-
     def test_rejects_gaps_overlaps_and_short_maps(self):
         with pytest.raises(ValueError):  # gap at MiB
             ChunkMapDistribution(

@@ -145,8 +145,7 @@ class Harness:
         for i in range(3):
             self.registry.reserve("t0", i, 8 * MiB)
         self.migrator = ChunkMigrator(
-            sim, self.registry, stats=self.node.stats,
-            throttle_mib_s=400.0,
+            sim, stats=self.node.stats, throttle_mib_s=400.0,
         )
         self.group = ShardGroup(
             policy=RedundancyPolicy("rs", k=2, m=1),

@@ -160,8 +160,8 @@ def test_wheel_fires_in_heap_order(program):
 # ("e", k) run(until=shared event k).
 
 NSHARED = 2
-# Few distinct delays, so processes meet at the same instants; 10 ms
-# alone in the queue is the solo jump past the wheel's current bucket.
+# Few distinct delays, so processes meet at the same instants; a 10 ms
+# sleep taken inline moves the clock past the wheel's current bucket.
 SHORT = st.sampled_from((0.0, 0.0, 1.0, 2.5, _W, 3 * _W, 10_000.0))
 GRANT = st.tuples(
     st.just("grant"), st.integers(0, 1), st.integers(1, 2), SHORT

@@ -210,8 +210,9 @@ class TestEmptyWheelSpin:
         assert fired[-1] == pytest.approx(50e7)
 
     def test_time_warp_then_dense_traffic(self, scheduler):
-        """After a huge solo jump, new near-term entries must land in
-        valid buckets (bucket ordinals are absolute, not wrapped state)."""
+        """After a huge jump by a lone timeout, new near-term entries
+        must land in valid buckets (bucket ordinals are absolute, not
+        wrapped state)."""
         sim = make_sim(scheduler)
         fired = []
 
@@ -317,7 +318,8 @@ class TestRunUntilMarker:
 
     def test_run_until_event_stops_before_its_waiter_sleeps(self, scheduler):
         """A process resumed by ``until`` that then sleeps alone in the
-        queue must not be carried on by the fused solo spin."""
+        queue is not carried on: the drain stops once ``until`` has
+        fired, before the sleeper's timeout."""
         sim = make_sim(scheduler)
         wake = sim.event("wake")
         ticks = []
@@ -341,17 +343,18 @@ class TestNextPopQuery:
     """``Simulator._head`` and the elisions built on it."""
 
     @pytest.mark.parametrize("delay", [1_000.0, 10_000.0])
-    def test_head_after_solo_jump(self, scheduler, delay):
-        """A solo timeout moves the clock past the current bucket, so the
-        next two posts land in a wheel bucket (1 ms) or the overflow
-        heap (10 ms) while ``_cur`` stays empty: the head is still due
-        now, and a grant must not be taken inline."""
+    def test_head_after_inline_sleep_jump(self, scheduler, delay):
+        """An inline sleep in an empty queue moves the clock past the
+        current bucket, so the next two posts land in a wheel bucket
+        (1 ms) or the overflow heap (10 ms) while ``_cur`` stays empty:
+        the head is still due now, and a grant must not be taken
+        inline."""
         sim = make_sim(scheduler)
         res = Resource(sim, 1)
         order = []
 
         def proc(sim):
-            yield sim.timeout(delay)
+            assert sim.sleep_inline(delay)
             for i in range(2):
                 evt = sim.event("post")
                 evt.callbacks.append(lambda _e, i=i: order.append(i))

@@ -6,9 +6,7 @@ import pytest
 
 from repro.simulator import (
     AlreadyTriggered,
-    DeadProcess,
     Event,
-    Interrupted,
     LAZY,
     NORMAL,
     SchedulingInPast,
@@ -62,19 +60,6 @@ class TestEvent:
         sim.run()
         assert seen == ["v"]
         assert evt.processed
-
-    def test_trigger_mirrors_success(self, sim):
-        src = sim.event().succeed(7)
-        dst = sim.event()
-        dst.trigger(src)
-        assert dst.ok and dst.value == 7
-
-    def test_trigger_mirrors_failure(self, sim):
-        exc = ValueError("boom")
-        src = sim.event().fail(exc)
-        dst = sim.event()
-        dst.trigger(src)
-        assert not dst.ok and dst.value is exc
 
 
 class TestTimeout:
@@ -197,6 +182,41 @@ class TestProcess:
         p = sim.spawn(waiter(sim))
         assert sim.run(until=p) == "caught"
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_waiters_behind_the_owner_end_like_it(self, strict):
+        """An event's first waiter resumes inline; later ones resume
+        through its callbacks and end the same way: a return succeeds
+        the process, an uncaught failure fails it (and re-raises when
+        strict)."""
+        sim = Simulator(strict=strict)
+        ok, bad = sim.event(), sim.event()
+
+        def owner(sim):
+            value = yield ok
+            try:
+                yield bad
+            except ValueError:
+                return value
+
+        def returner(sim):
+            return 2 * (yield ok)
+
+        def faller(sim):
+            yield ok
+            yield bad
+
+        procs = [sim.spawn(body(sim)) for body in (owner, returner, faller)]
+        sim.run(until=1.0)
+        ok.succeed(7)
+        bad.fail(ValueError("bad"))
+        if strict:
+            with pytest.raises(ValueError):
+                sim.run()
+        else:
+            sim.run()
+        assert [p.value for p in procs[:2]] == [7, 14]
+        assert not procs[2].ok and isinstance(procs[2].value, ValueError)
+
     def test_is_alive_lifecycle(self, sim):
         def proc(sim):
             yield sim.timeout(5)
@@ -205,67 +225,6 @@ class TestProcess:
         assert p.is_alive
         sim.run()
         assert not p.is_alive
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, sim):
-        def sleeper(sim):
-            try:
-                yield sim.timeout(100)
-            except Interrupted as e:
-                return ("interrupted", e.cause, sim.now)
-            return "slept"
-
-        def interrupter(sim, target):
-            yield sim.timeout(2)
-            target.interrupt("wakeup")
-
-        p = sim.spawn(sleeper(sim))
-        sim.spawn(interrupter(sim, p))
-        assert sim.run(until=p) == ("interrupted", "wakeup", 2.0)
-
-    def test_interrupt_dead_process_raises(self, sim):
-        def proc(sim):
-            yield sim.timeout(1)
-
-        p = sim.spawn(proc(sim))
-        sim.run()
-        with pytest.raises(DeadProcess):
-            p.interrupt()
-
-    def test_self_interrupt_rejected(self, sim):
-        caught = []
-
-        def proc(sim):
-            try:
-                me.interrupt()
-            except SimulationError as e:
-                caught.append(str(e))
-            yield sim.timeout(1)
-
-        me = sim.spawn(proc(sim))
-        sim.run()
-        assert caught and "itself" in caught[0]
-
-    def test_interrupted_process_detaches_from_event(self, sim):
-        evt = sim.event()
-
-        def sleeper(sim):
-            try:
-                yield evt
-            except Interrupted:
-                yield sim.timeout(5)
-                return "recovered"
-
-        def interrupter(sim, target):
-            yield sim.timeout(1)
-            target.interrupt()
-            yield sim.timeout(1)
-            evt.succeed("late")  # must not resume the detached sleeper
-
-        p = sim.spawn(sleeper(sim))
-        sim.spawn(interrupter(sim, p))
-        assert sim.run(until=p) == "recovered"
 
 
 class TestRun:
@@ -417,20 +376,3 @@ class TestEventPooling:
         warm_log: list = []
         workload(warm, warm_log)
         assert [(t - 5.0, n) for t, n in warm_log] == cold_log
-
-    def test_interrupt_still_works_with_pooling(self, sim):
-        def sleeper(sim):
-            try:
-                yield sim.timeout(100)
-            except Interrupted:
-                return "woken"
-
-        def interrupter(sim, target):
-            yield sim.timeout(1)
-            target.interrupt()
-
-        p = sim.spawn(sleeper(sim))
-        sim.spawn(interrupter(sim, p))
-        assert sim.run(until=p) == "woken"
-        # the interrupt's internal event went back to the free list
-        assert len(sim._event_pool) > 0

@@ -1,16 +1,16 @@
-"""Unit tests for Resource, Mutex, Store, WaitQueue, TokenBucket."""
+"""Unit tests for Resource, Store, WaitQueue, TokenBucket."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.simulator import (
-    Mutex,
     Resource,
     SimulationError,
     Store,
     TokenBucket,
     WaitQueue,
+    any_of,
 )
 
 
@@ -84,25 +84,6 @@ class TestResource:
         with pytest.raises(SimulationError):
             res.release()
 
-    def test_try_acquire(self, sim):
-        res = Resource(sim, 1)
-        assert res.try_acquire()
-        assert not res.try_acquire()
-        res.release()
-        assert res.try_acquire()
-
-    def test_try_acquire_respects_waiters(self, sim, runner):
-        res = Resource(sim, 1)
-
-        def proc(sim):
-            yield res.acquire()
-            res.acquire()  # queue a waiter
-            res.release()
-            return res.try_acquire()
-
-        # After release the queued waiter got the unit; try must fail.
-        assert runner(proc(sim)) is False
-
     def test_utilization_accounting(self, sim):
         res = Resource(sim, 1)
 
@@ -126,35 +107,6 @@ class TestResource:
             return res.queue_length
 
         assert runner(proc(sim)) == 2
-
-
-class TestMutex:
-    def test_mutual_exclusion(self, sim):
-        m = Mutex(sim)
-        inside = []
-
-        def critical(sim, name):
-            yield m.lock()
-            inside.append(name)
-            assert len(inside) == 1
-            yield sim.timeout(5)
-            inside.remove(name)
-            m.unlock()
-
-        procs = [sim.spawn(critical(sim, i)) for i in range(4)]
-        sim.run_all(procs)
-
-    def test_locked_property(self, sim, runner):
-        m = Mutex(sim)
-
-        def proc(sim):
-            assert not m.locked
-            yield m.lock()
-            assert m.locked
-            m.unlock()
-            return m.locked
-
-        assert runner(proc(sim)) is False
 
 
 class TestStore:
@@ -184,16 +136,6 @@ class TestStore:
         p = sim.spawn(getter(sim))
         sim.spawn(putter(sim))
         assert sim.run(until=p) == ("late", 7.0)
-
-    def test_put_front(self, sim, runner):
-        st = Store(sim)
-        st.put("second")
-        st.put_front("first")
-
-        def proc(sim):
-            return (yield st.get())
-
-        assert runner(proc(sim)) == "first"
 
     def test_waiting_getters_fifo(self, sim):
         st = Store(sim)
@@ -373,13 +315,25 @@ class TestTokenBucket:
         sim.run(until=p)
 
 
+def _wait_or_give_up(sim, wait, patience):
+    """Race a queued ``wait`` against a timer, as ``HPBDClient._watchdog``
+    does: when the timer wins, abandon the wait.  Generator; returns
+    whether the wait was served."""
+    timer = sim.timeout(patience)
+    idx, _value = yield any_of(sim, [wait, timer])
+    if idx == 1:
+        wait.abandoned = True
+        return False
+    timer.cancel()
+    return True
+
+
 class TestInterruptedWaiters:
-    """Interrupting a process that waits in a queue must not leak the
-    capacity that would later have been granted to it."""
+    """A wait its waiter cut short (the waiter's timer won, and it set
+    ``abandoned``) must not be granted the capacity, token or item that
+    would later have gone to it: the next waiter is served instead."""
 
     def test_resource_skips_abandoned_waiter(self, sim):
-        from repro.simulator import Interrupted
-
         res = Resource(sim, 1)
         got = []
 
@@ -389,12 +343,10 @@ class TestInterruptedWaiters:
             res.release()
 
         def doomed(sim):
-            try:
-                yield res.acquire()
+            if (yield from _wait_or_give_up(sim, res.acquire(), 5)):
                 got.append("doomed")  # must never run
                 res.release()
-            except Interrupted:
-                return "killed"
+            return "gave up"
 
         def patient(sim):
             yield res.acquire()
@@ -404,19 +356,12 @@ class TestInterruptedWaiters:
         sim.spawn(holder(sim))
         d = sim.spawn(doomed(sim))
         p = sim.spawn(patient(sim))
-
-        def killer(sim):
-            yield sim.timeout(5)
-            d.interrupt("cancel")
-
-        sim.spawn(killer(sim))
         sim.run(until=p)
+        assert d.value == "gave up"
         assert got == ["patient"]
         assert res.available == 1  # no capacity leaked
 
     def test_tokenbucket_skips_abandoned_waiter(self, sim):
-        from repro.simulator import Interrupted
-
         tb = TokenBucket(sim, 1)
         got = []
 
@@ -426,11 +371,8 @@ class TestInterruptedWaiters:
             tb.release()
 
         def doomed(sim):
-            try:
-                yield tb.acquire()
+            if (yield from _wait_or_give_up(sim, tb.acquire(), 5)):
                 got.append("doomed")
-            except Interrupted:
-                pass
 
         def patient(sim):
             yield tb.acquire()
@@ -438,63 +380,45 @@ class TestInterruptedWaiters:
             tb.release()
 
         sim.spawn(holder(sim))
-        d = sim.spawn(doomed(sim))
+        sim.spawn(doomed(sim))
         p = sim.spawn(patient(sim))
-        sim.schedule_call(5.0, lambda: d.interrupt())
         sim.run(until=p)
         assert got == ["patient"]
         assert tb.tokens == 1
 
     def test_store_skips_abandoned_getter(self, sim):
-        from repro.simulator import Interrupted
-
         st = Store(sim)
         got = []
 
         def doomed(sim):
-            try:
-                item = yield st.get()
-                got.append(("doomed", item))
-            except Interrupted:
-                pass
+            wait = st.get()
+            if (yield from _wait_or_give_up(sim, wait, 5)):
+                got.append(("doomed", wait.value))
 
         def patient(sim):
             item = yield st.get()
             got.append(("patient", item))
 
-        d = sim.spawn(doomed(sim))
+        sim.spawn(doomed(sim))
         p = sim.spawn(patient(sim))
-
-        def producer(sim):
-            yield sim.timeout(5)
-            d.interrupt()
-            yield sim.timeout(1)
-            st.put("item")
-
-        sim.spawn(producer(sim))
+        sim.schedule_call(6.0, lambda: st.put("item"))
         sim.run(until=p)
         assert got == [("patient", "item")]
 
     def test_waitqueue_skips_abandoned_waiter(self, sim):
-        from repro.simulator import Interrupted
-
         wq = WaitQueue(sim)
         got = []
 
         def doomed(sim):
-            try:
-                yield wq.wait()
+            if (yield from _wait_or_give_up(sim, wq.wait(), 5)):
                 got.append("doomed")
-            except Interrupted:
-                pass
 
         def patient(sim):
             yield wq.wait()
             got.append("patient")
 
-        d = sim.spawn(doomed(sim))
+        sim.spawn(doomed(sim))
         p = sim.spawn(patient(sim))
-        sim.schedule_call(5.0, lambda: d.interrupt())
         sim.schedule_call(6.0, lambda: wq.wake_one())
         sim.run(until=p)
         assert got == ["patient"]
