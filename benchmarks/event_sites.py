@@ -24,11 +24,20 @@ imported as is.
 
 After the posts it prints each site that asks to skip an event whose
 turn is fixed (``Simulator.sleep_inline``, ``Resource.grant_inline``,
-``TokenBucket.grant_inline``): the function that asks, its caller and,
-for a grant, the resource, with the sleeps or grants taken inline
-against those refused.  Each refusal posts one event (the timeout, or
+``TokenBucket.grant_inline``, ``Resource.can_hold_inline``): the
+function that asks, its caller and, for a grant or a hold, the
+resource, with the sleeps, grants or holds taken inline against those
+refused.  A refused sleep or grant posts one event (the timeout, or
 the grant that ``acquire()`` succeeds), so the ``posted`` column counts
-what the site still queues.
+what the site still queues.  A hold is a grant and a sleep at once
+(``CPUSet.run``, and the VM's first-touch loop through
+``CPUSet.can_run_inline``); a refused one posts nothing itself.
+``CPUSet.run`` goes on to ask for the grant, and for the sleep only
+after a grant it waited for.
+
+Last it prints the zero-fill (first-touch) faults the VM took in its
+inline loop (``VMM._first_touch_inline``) against those it sent to the
+``VMM._fault`` generator.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import scenarios  # noqa: E402
 
+from repro.kernel import VMM  # noqa: E402
 from repro.simulator import Resource, Simulator, TokenBucket  # noqa: E402
 from repro.simulator import core  # noqa: E402
 
@@ -67,6 +77,7 @@ _QUERIES = (
     (Simulator, "sleep_inline", "sleep"),
     (Resource, "grant_inline", "grant"),
     (TokenBucket, "grant_inline", "grant"),
+    (Resource, "can_hold_inline", "hold"),
 )
 
 
@@ -81,12 +92,25 @@ def _site(frame, core_file: str) -> tuple[str, str]:
 
 def count_sites(workload: str, seed: int = 1, qs_seed: int = QS_SEED):
     """Run ``workload``'s scenarios; return (posts per site,
-    skip-if-next queries per site, events processed).  A query is keyed
-    (kind, asking function, its caller, resource name, taken)."""
+    skip-if-next queries per site, events processed, zero-fill faults).
+    A query is keyed (kind, asking function, its caller, resource name,
+    taken); the faults count as ``{"inline": n, "all": n}``."""
     counts: Counter = Counter()
     inline: Counter = Counter()
+    faults: Counter = Counter()
     core_file = core.__file__
     init = Simulator.__init__
+    first_touch_inline = VMM._first_touch_inline
+    zero_filled = VMM._zero_filled
+
+    def counting_first_touch_inline(self, *args) -> int:
+        done = first_touch_inline(self, *args)
+        faults["inline"] += done
+        return done
+
+    def counting_zero_filled(self, aspace, pages) -> None:
+        faults["all"] += len(pages)
+        zero_filled(self, aspace, pages)
 
     def counting_init(self, *args, **kwargs) -> None:
         init(self, *args, **kwargs)
@@ -116,6 +140,8 @@ def count_sites(workload: str, seed: int = 1, qs_seed: int = QS_SEED):
     w = scenarios.WORKLOADS[workload]
     originals = [(cls, attr, getattr(cls, attr)) for cls, attr, _kind in _QUERIES]
     Simulator.__init__ = counting_init
+    VMM._first_touch_inline = counting_first_touch_inline
+    VMM._zero_filled = counting_zero_filled
     for cls, attr, kind in _QUERIES:
         setattr(cls, attr, counting_query(getattr(cls, attr), kind))
     try:
@@ -124,9 +150,12 @@ def count_sites(workload: str, seed: int = 1, qs_seed: int = QS_SEED):
             scenario.run()
     finally:
         Simulator.__init__ = init
+        VMM._first_touch_inline = first_touch_inline
+        VMM._zero_filled = zero_filled
         for cls, attr, query in originals:
             setattr(cls, attr, query)
-    return counts, inline, sum(b.sim.events_processed for b in built)
+    processed = sum(b.sim.events_processed for b in built)
+    return counts, inline, processed, faults
 
 
 def _print_inline(inline: Counter, top: int) -> None:
@@ -141,10 +170,11 @@ def _print_inline(inline: Counter, top: int) -> None:
         print(f"{took:9d} {posted:9d} {rate:6.1%}  {kind:<5} {site} <- {caller}{label}")
     if top and len(rows) > top:
         print(f"({len(rows) - top} more sites)")
-    for kind in ("sleep", "grant"):
+    for kind in ("sleep", "grant", "hold"):
         took = sum(t for (k, *_s), (t, _p) in split.items() if k == kind)
         posted = sum(p for (k, *_s), (_t, p) in split.items() if k == kind)
-        print(f"{kind}s: {took} inline, {posted} posted")
+        refused = "refused" if kind == "hold" else "posted"
+        print(f"{kind}s: {took} inline, {posted} {refused}")
 
 
 def main(argv=None) -> int:
@@ -155,7 +185,9 @@ def main(argv=None) -> int:
     parser.add_argument("--top", type=int, default=30, help="rows to print (0: all)")
     args = parser.parse_args(argv)
 
-    counts, inline, processed = count_sites(args.workload, args.seed, args.qs_seed)
+    counts, inline, processed, faults = count_sites(
+        args.workload, args.seed, args.qs_seed
+    )
     total = sum(counts.values())
     rows = counts.most_common(args.top or None)
     print(f"{'posts':>9} {'share':>6}  posting function <- caller  [event name]")
@@ -167,6 +199,13 @@ def main(argv=None) -> int:
     print(f"total posts {total}, events processed {processed}")
     print()
     _print_inline(inline, args.top)
+    print()
+    took, every = faults["inline"], faults["all"]
+    rate = f" ({took / every:.1%})" if every else ""
+    print(
+        f"zero-fill faults: {took} of {every} inline{rate}, "
+        f"{every - took} sent to VMM._fault"
+    )
     return 0
 
 

@@ -21,6 +21,7 @@ pages, and stale entries are dropped the first time they surface.
 from __future__ import annotations
 
 from collections import deque
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -64,6 +65,26 @@ class PageLRU:
             raise ValueError("pages and stamps must have equal length")
         self._queue.append((aspace, pages, stamps))
         self._entries += len(pages)
+
+    def push_each(self, aspace: "AddressSpace", pages: np.ndarray) -> None:
+        """Stamp ``pages`` most-recently-used in order, one queue entry
+        per page: what :meth:`push_batch` of one page at a time does,
+        with one stamp reservation and one ``page_stamp`` write (the
+        entries of a longer run are views of ``pages`` and its stamps).
+        Pages faulted in one by one must stay separate entries: reclaim
+        charges CPU and allocates swap slots per ``pop_victims`` group."""
+        n = len(pages)
+        if n == 0:
+            return
+        stamps = self.next_stamps(n)
+        aspace.page_stamp[pages] = stamps
+        if n == 1:  # the common single fault: no views to cut
+            self._queue.append((aspace, pages, stamps))
+        else:
+            self._queue.extend(
+                zip(repeat(aspace, n), pages.reshape(n, 1), stamps.reshape(n, 1))
+            )
+        self._entries += n
 
     def pop_victims(self, want: int) -> list[tuple["AddressSpace", np.ndarray]]:
         """Collect up to ``want`` genuinely-coldest resident pages.

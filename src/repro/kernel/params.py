@@ -65,6 +65,18 @@ class VMParams:
                 f"watermarks must satisfy 0 < min < low < high < 0.5, got "
                 f"{self.frac_min}/{self.frac_low}/{self.frac_high}"
             )
+        for name in (
+            "fault_overhead",
+            "alloc_overhead",
+            "reclaim_page_overhead",
+            "slot_overhead",
+            "pressure_page_overhead",
+            "swapin_page_overhead",
+        ):
+            # CPU time only runs forward; the VM's inline first-touch
+            # loop relies on it (one check at a fault's end instant).
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.readahead_pages < 1:
             raise ValueError("readahead_pages must be >= 1")
         if self.kswapd_batch < 1:

@@ -34,15 +34,37 @@ class CPUSet:
         if cost == 0:
             return
         res = self._res
-        if not res.grant_inline():
+        sim = self.sim
+        if res.can_hold_inline(sim.now + cost):
+            self.run_inline(cost)
+            return
+        # A grant taken inline leaves the hold's refusal standing (its
+        # sleep would not fire next); only a waited-for grant asks.
+        waited = not res.grant_inline()
+        if waited:
             yield res.acquire()
         try:
-            sim = self.sim
-            if not sim.sleep_inline(cost):
+            if not (waited and sim.sleep_inline(cost)):
                 yield sim.timeout(cost)
             self.busy_usec += cost
         finally:
             res.release()
+
+    def can_run_inline(self, end: float) -> bool:
+        """True when work from now until ``end`` would take its CPU
+        grant and its sleep inline (``Resource.can_hold_inline``); so
+        would any run of charges that ends by ``end``, as long as
+        nothing is posted in between."""
+        return self._res.can_hold_inline(end)
+
+    def run_inline(self, cost: float) -> None:
+        """:meth:`run` when its grant and its sleep both go inline: the
+        same bookkeeping, with no generator and no event.  Only valid
+        where :meth:`can_run_inline` holds for ``now + cost``; a zero
+        cost does nothing, as in :meth:`run`."""
+        if cost:
+            self._res.hold_inline(cost)
+            self.busy_usec += cost
 
     @property
     def in_use(self) -> int:

@@ -16,11 +16,17 @@ through:
   clean (eviction is then free); writing the page invalidates the slot.
 
 State is kept in per-address-space numpy vectors so the workload hot
-path (`touch_run`) is vectorized; only misses reach the event kernel.
+path (`touch_run`) is vectorized.  Hits never reach the event kernel,
+and neither does a run of first-touch faults whose every CPU grant and
+sleep would fire next: one loop faults such a run in with no generator
+per page (``_first_touch_inline``).  The other misses take the
+generator path (``_fault``).
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -183,18 +189,25 @@ class VMM:
         yield from self._touch_common(aspace, pages, write)
 
     def _touch_common(self, aspace: AddressSpace, pages: np.ndarray, write: bool):
-        guard = 0
+        limit = 16 * len(pages) + 64
+        faults = 0
         while True:
             missing = pages[~aspace.resident[pages]]
             if len(missing) == 0:
                 break
-            guard += 1
-            if guard > 16 * len(pages) + 64:
+            # Each page of a leading run of first touches faults inline;
+            # the page after the run takes the generator path.
+            done = self._first_touch_inline(aspace, missing, limit - faults)
+            faults += done
+            if done == len(missing):
+                break
+            faults += 1
+            if faults > limit:
                 raise SimulationError(
                     f"{aspace.name}: touch loop not converging "
                     f"(memory far too small for working set?)"
                 )
-            yield from self._fault(aspace, int(missing[0]))
+            yield from self._fault(aspace, int(missing[done]))
         self._mark_touched(aspace, pages, write)
 
     def _mark_touched(
@@ -222,6 +235,89 @@ class VMM:
 
     # -- fault path ----------------------------------------------------------
 
+    def _first_touch_inline(
+        self, aspace: AddressSpace, missing: np.ndarray, budget: int
+    ) -> int:
+        """Fault in the leading first touches of ``missing``, at most
+        ``budget`` of them, with no generator; return how many.
+
+        A page is taken only when :meth:`_fault` would run its minor
+        fault without an event: the page has no swap copy and no I/O in
+        flight, a frame is free (no reclaim), and a CPU is free with
+        nobody queued.  The fault, frame-allocation and pressure charges
+        then run back to back, and the clock only grows, so one
+        ``CPUSet.can_run_inline`` check at the fault's end instant
+        covers each of their grants and sleeps.  It is asked again for
+        every page: ``wake_kswapd`` may post.  Every state change lands
+        at the instant and in the order ``_fault`` makes it; residency,
+        dirty bits, LRU stamps and the stall tallies are written once
+        per run, in page order.
+        """
+        sim = self.sim
+        cpus = self.cpus
+        frames = self.frames
+        params = self.params
+        fault = params.fault_overhead
+        alloc = params.alloc_overhead
+        pressure = params.pressure_page_overhead
+        swap_slot = aspace.swap_slot
+        writeback = aspace.writeback
+        swapin_pending = aspace.swapin_pending
+        trace = sim.trace
+        fault_stalls: list[float] = []
+        alloc_stalls: list[float] = []
+        done = 0
+        for page in missing[:budget]:
+            page = int(page)
+            if swap_slot[page] >= 0 or page in writeback or page in swapin_pending:
+                break
+            free = frames.free
+            if free < 1:
+                break
+            # The allocation leaves free memory below ``high``: the
+            # allocator's slow path charges pressure too.
+            pressed = free - 1 < frames.wm_high
+            end = sim.now + fault + alloc
+            if pressed:
+                end += pressure
+            if not cpus.can_run_inline(end):
+                break
+            t0 = sim.now
+            cpus.run_inline(fault)
+            t1 = sim.now
+            cpus.run_inline(alloc)
+            frames.try_alloc(1)
+            if pressed:
+                cpus.run_inline(pressure)
+            stall = sim.now - t1
+            if stall > 0:
+                alloc_stalls.append(stall)
+            if frames.below_low():
+                self.wake_kswapd()
+            stall = sim.now - t0
+            aspace.stall_usec += stall
+            fault_stalls.append(stall)
+            if trace.enabled:
+                trace.complete(
+                    self.name, aspace.name, "fault.minor", "vm.fault",
+                    t0, sim.now, page=page,
+                )
+            done += 1
+        if done:
+            self._zero_filled(aspace, missing[:done])
+            self._t_alloc_stall.record_many(alloc_stalls)
+            self._t_fault_stall.record_many(fault_stalls)
+        return done
+
+    def _zero_filled(self, aspace: AddressSpace, pages: np.ndarray) -> None:
+        """Map zeroed frames at ``pages``, first-touched in that order."""
+        aspace.resident[pages] = True
+        aspace.dirty[pages] = False
+        aspace.minor_faults += len(pages)
+        for _ in range(len(pages)):
+            self._c_minor.add()
+        self.lru.push_each(aspace, pages)
+
     def _fault(self, aspace: AddressSpace, page: int):
         t0 = self.sim.now
         yield from self.cpus.run(self.params.fault_overhead)
@@ -240,11 +336,7 @@ class VMM:
         if aspace.swap_slot[page] < 0:
             # First touch of an anonymous page: allocate a zeroed frame.
             yield from self._alloc_frames_blocking(1)
-            aspace.resident[page] = True
-            aspace.dirty[page] = False
-            aspace.minor_faults += 1
-            self._c_minor.add()
-            self._stamp_one(aspace, page)
+            self._zero_filled(aspace, np.array([page], dtype=np.int64))
             self._record_stall(aspace, t0, page, "fault.minor")
         else:
             yield from self._swapin(aspace, page)
@@ -289,12 +381,6 @@ class VMM:
                     aspace.swapin_pending, next(iter(aspace.swapin_pending)), "swapin"
                 )
         return None
-
-    def _stamp_one(self, aspace: AddressSpace, page: int) -> None:
-        arr = np.array([page], dtype=np.int64)
-        stamps = self.lru.next_stamps(1)
-        aspace.page_stamp[arr] = stamps
-        self.lru.push_batch(aspace, arr, stamps)
 
     def _swapin(self, aspace: AddressSpace, page: int):
         """Read the page back, with aligned-window read-ahead."""
@@ -347,11 +433,16 @@ class VMM:
             nslots = len(run)
 
             def on_read_done(_bio: Bio, run=run) -> None:
-                for s, owner, opage in run:
-                    owner.resident[opage] = True
-                    owner.dirty[opage] = False
+                # One LRU entry per page, stamped in slot order.
+                for owner, items in groupby(run, key=itemgetter(1)):
+                    pages = np.array(
+                        [opage for _s, _o, opage in items], dtype=np.int64
+                    )
+                    owner.resident[pages] = True
+                    owner.dirty[pages] = False
+                    self.lru.push_each(owner, pages)
+                for _s, owner, opage in run:
                     pend = owner.swapin_pending.pop(opage)
-                    self._stamp_one(owner, opage)
                     if pend is not None:
                         pend.succeed(None)
 

@@ -52,8 +52,9 @@ the sole waiter of a callback-free event other than ``run()``'s
 whether an event it posts now would fire before anything else.  An event
 that would fire next, with nothing posted in between, is equivalent to
 running its waiter inline: ``seq`` gains a gap and every other entry
-keeps its relative order.  :meth:`Simulator.sleep_inline`,
-``Resource.grant_inline``, ``TokenBucket.grant_inline`` and the HPBD
+keeps its relative order.  :meth:`Simulator.fires_next`,
+:meth:`Simulator.sleep_inline`, ``Resource.grant_inline``,
+``Resource.hold_inline``, ``TokenBucket.grant_inline`` and the HPBD
 server's poll skip build on it.
 
 Allocation notes carried over from PR 2: callbacks are plain lists,
@@ -597,23 +598,33 @@ class Simulator:
             return to
         return Timeout(self, delay, value)
 
+    def fires_next(self, when: float) -> bool:
+        """True when a timeout posted now for ``when``, at NORMAL
+        priority, would be the next event to fire: the queue head (see
+        ``_head``) is later than ``when``, or due at ``when`` at LAZY
+        priority or as ``run()``'s deadline marker.
+
+        The answer also covers every grant and sleep that ends by
+        ``when`` in the same resume, as long as nothing is posted
+        before them: each would sort before that timeout.
+        """
+        head, key, _event = self._head()
+        return head > when or (head == when and key >= _LAZY_BASE)
+
     def sleep_inline(self, delay: float) -> bool:
         """Advance the clock by ``delay`` without an event, or return False.
 
-        Succeeds only when the timeout :meth:`timeout` would post, at
-        NORMAL priority, would be the next event to fire: the queue head
-        (see ``_head``) is later than ``now + delay``, or due at that
-        instant at LAZY priority or as ``run()``'s deadline marker.  The
-        clock then moves to exactly the time the timeout would have
-        fired at, and the caller continues where it would have resumed.
-        On False, yield ``timeout(delay)`` as usual.  A bad ``delay``
-        raises as :meth:`timeout` does.
+        Succeeds only when the timeout :meth:`timeout` would post would
+        be the next event to fire (:meth:`fires_next`).  The clock then
+        moves to exactly the time the timeout would have fired at, and
+        the caller continues where it would have resumed.  On False,
+        yield ``timeout(delay)`` as usual.  A bad ``delay`` raises as
+        :meth:`timeout` does.
         """
         when = self.now + delay
         if not (delay >= 0.0 and when < _INF):
             raise _bad_delay(self.now, delay)
-        head, key, _event = self._head()
-        if head < when or (head == when and key < _LAZY_BASE):
+        if not self.fires_next(when):
             return False
         self.now = when
         return True

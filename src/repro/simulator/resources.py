@@ -6,7 +6,8 @@ onto kernel objects in the modelled system:
 * :class:`Resource` — counted resource (CPU, DMA engines, outstanding-RDMA
   slots).  ``yield res.acquire()`` / ``res.release()``; hot callers try
   ``res.grant_inline()`` first and yield ``acquire()`` only when it
-  refuses.
+  refuses, and a hold whose grant and sleep would both fire next goes
+  through ``hold_inline()`` with no event at all.
 * :class:`Store` — an unbounded FIFO queue of items with blocking ``get``;
   models request queues between threads.
 * :class:`WaitQueue` — condition-variable-style sleep/wakeup; models the
@@ -122,6 +123,41 @@ class Resource:
         self._account()
         self._available -= units
         return True
+
+    def can_hold_inline(self, end: float) -> bool:
+        """True when holding one unit from now until ``end`` would take
+        its grant and its sleep inline: :meth:`acquire` would grant at
+        once and a timeout at ``end`` would fire next
+        (``Simulator.fires_next``), so the grant event, due now, would
+        fire before it.  Then :meth:`hold_inline` does the hold."""
+        return (
+            not self._waiters
+            and self._available >= 1
+            and self.sim.fires_next(end)
+        )
+
+    def hold_inline(self, delay: float) -> None:
+        """Take one unit, move the clock ``delay`` on and give it back,
+        with no event: what :meth:`grant_inline`,
+        ``Simulator.sleep_inline(delay)`` and :meth:`release` do when
+        the grant and the sleep both go inline.  Only valid where
+        :meth:`can_hold_inline` holds for ``now + delay``: then nobody
+        waits for the unit at the release either.
+
+        The two ``_account()`` calls are unrolled, with the same
+        floats: the grant's, then the release's over the hold."""
+        sim = self.sim
+        start = sim.now
+        in_use = self.capacity - self._available
+        dt = start - self._last_change
+        if dt > 0:
+            self._busy_area += dt * in_use
+            self._last_change = start
+        end = sim.now = start + delay
+        dt = end - start
+        if dt > 0:
+            self._busy_area += dt * (in_use + 1)
+            self._last_change = end
 
     def release(self, units: int = 1) -> None:
         self._account()

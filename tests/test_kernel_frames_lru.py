@@ -19,6 +19,11 @@ class TestVMParams:
         with pytest.raises(ValueError):
             VMParams(readahead_pages=0)
 
+    @pytest.mark.parametrize("cost", [-1.0, float("nan")])
+    def test_cpu_costs_non_negative(self, cost):
+        with pytest.raises(ValueError, match="alloc_overhead"):
+            VMParams(alloc_overhead=cost)
+
     def test_defaults_valid(self):
         p = DEFAULT_VM_PARAMS
         assert 0 < p.frac_min < p.frac_low < p.frac_high
@@ -104,6 +109,23 @@ class TestPageLRU:
         aspace.resident[pages] = True
         lru.push_batch(aspace, pages, stamps)
         return pages
+
+    @pytest.mark.parametrize("run", [[7], [7, 3, 9]])
+    def test_push_each_is_one_push_batch_per_page(self, run):
+        each, one_by_one = PageLRU(), PageLRU()
+        a, b = AddressSpace(100, "a"), AddressSpace(100, "b")
+        pages = np.array(run, dtype=np.int64)
+        each.push_each(a, pages)
+        for page in pages:
+            single = np.array([page], dtype=np.int64)
+            stamps = one_by_one.next_stamps(1)
+            b.page_stamp[single] = stamps
+            one_by_one.push_batch(b, single, stamps)
+        np.testing.assert_array_equal(a.page_stamp, b.page_stamp)
+        assert len(each) == len(one_by_one) == len(run)
+        got = [(p.tolist(), s.tolist()) for _a, p, s in each._queue]
+        want = [(p.tolist(), s.tolist()) for _a, p, s in one_by_one._queue]
+        assert got == want == [([p], [i + 1]) for i, p in enumerate(run)]
 
     def test_eviction_order_is_lru(self):
         lru = PageLRU()

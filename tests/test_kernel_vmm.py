@@ -6,10 +6,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import (
+    HPBD,
+    NBD,
+    QuicksortWorkload,
+    ScenarioConfig,
+    TestswapWorkload,
+    build_scenario,
+)
 from repro.disk import DiskDevice
 from repro.kernel import Node, VMParams
-from repro.simulator import SimulationError
+from repro.simulator import Counter, SimulationError
 from repro.units import MiB
+from repro.workloads import ReplayWorkload, SeqTouch
+
+from .test_scheduler_fuzz import _refuse
 
 
 @pytest.fixture
@@ -585,3 +596,83 @@ class TestLazyCompletionEvents:
         assert woke == [done]
         assert aspace.dead
         assert node.frames.used == 0
+
+
+def _vm_state(cfg, scheduler: str, elide: bool, trace: bool, monkeypatch):
+    """Run ``cfg`` and return the VM-side state an elision could move."""
+    monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
+    scenario = build_scenario(cfg, trace=trace)
+    sim = scenario.sim
+    if not elide:
+        sim._head = _refuse(sim)
+    scenario.run()
+    node = scenario.hosts[0].node
+    vmm = node.vmm
+    stats = scenario.stats
+    free = stats.get(f"{node.frames.name}.free")
+    counters = {
+        name: (item.count, item.total)
+        for name in stats.names()
+        if isinstance(item := stats.get(name), Counter)
+    }
+    return {
+        "now": sim.now,
+        "lru": [
+            (aspace.name, pages.tolist(), stamps.tolist())
+            for aspace, pages, stamps in vmm.lru._queue
+        ],
+        "fault_stall": vmm._t_fault_stall.values().tolist(),
+        "alloc_stall": vmm._t_alloc_stall.values().tolist(),
+        "free": (free.times().tolist(), free.values().tolist()),
+        "busy_usec": node.cpus.busy_usec,
+        "utilization": node.cpus.utilization(),
+        "counters": counters,
+    }
+
+
+_TESTSWAP = TestswapWorkload(size_bytes=8 * MiB)
+
+#: small runs of every path the elisions touch, keyed by test id
+_ELISION_CONFIGS = {
+    "testswap-hpbd": ScenarioConfig(
+        [_TESTSWAP], HPBD(), mem_bytes=4 * MiB,
+        swap_bytes=16 * MiB, mem_reserved_bytes=0,
+    ),
+    "two-testswaps-nbd-gige": ScenarioConfig(
+        [_TESTSWAP, _TESTSWAP], NBD("gige"), mem_bytes=6 * MiB,
+        swap_bytes=32 * MiB, mem_reserved_bytes=0,
+    ),
+    "quicksort-hpbd": ScenarioConfig(
+        [QuicksortWorkload(nelems=1024 * 1024, seed=7)], HPBD(),
+        mem_bytes=2 * MiB, swap_bytes=16 * MiB, mem_reserved_bytes=0,
+    ),
+    # Binary-exact costs whose first-touch chain (12 + 4 µs, no
+    # pressure charge) is half of kswapd's 32-page reclaim charge: a
+    # fault's end instant, where its frame is taken, ties with
+    # kswapd's timeout, after which kswapd frees clean frames.  The
+    # page must go to the event path and take its frame second.
+    "clean-reclaim-ties-hpbd": ScenarioConfig(
+        [ReplayWorkload([SeqTouch(0, 2048, write=False)])], HPBD(),
+        mem_bytes=4 * MiB, swap_bytes=16 * MiB, mem_reserved_bytes=0,
+        vm_params=VMParams(
+            fault_overhead=12.0, alloc_overhead=4.0, pressure_page_overhead=0.0
+        ),
+    ),
+}
+
+
+class TestInlineFaultsMatchEventPath:
+    """Every elision on the fault path — the inline first-touch loop,
+    inline grants and sleeps, the server's poll skip — against the
+    plain event path (``_head`` refusing), on the VM's state."""
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("name", list(_ELISION_CONFIGS))
+    def test_same_vm_state(self, name, trace, monkeypatch):
+        cfg = _ELISION_CONFIGS[name]
+        reference = _vm_state(cfg, "heap", False, trace, monkeypatch)
+        assert reference["counters"]["compute.vm.fault_minor"][0] > 0
+        for scheduler, elide in (("heap", True), ("wheel", False), ("wheel", True)):
+            got = _vm_state(cfg, scheduler, elide, trace, monkeypatch)
+            for key, want in reference.items():
+                assert got[key] == want, (scheduler, elide, key)

@@ -142,9 +142,10 @@ def test_wheel_fires_in_heap_order(program):
 # -- next-to-fire elision --------------------------------------------------
 #
 # ``Resource.grant_inline`` skips a grant event that would fire next,
-# ``Simulator.sleep_inline`` a timeout.  The property: random process
-# mixes fire the same (time, who, step) trace with the elisions as with
-# ``_head`` refusing every time (the plain event path), on both
+# ``Simulator.sleep_inline`` a timeout, ``Resource.hold_inline`` both.
+# The property: random process mixes fire the same (time, who, step)
+# trace, and end with the same resource utilizations, with the elisions
+# as with ``_head`` refusing every time (the plain event path), on both
 # backends.
 #
 # A process step is a tuple whose first field names it:
@@ -152,6 +153,9 @@ def test_wheel_fires_in_heap_order(program):
 #                                fire next)
 #   ("grant", res, units, hold)  take units (inline if it would fire
 #                                next), hold them (a sleep), release
+#   ("hold", res, delay)         hold one unit for delay: all inline
+#                                (``hold_inline``) if the sleep would
+#                                fire next, else as "grant"
 #   ("post", prio, n)            n fresh logged events succeeded now
 #   ("wait", k)                  wait on shared event k
 #   ("fire", k, prio, ncb)       give shared event k ncb logging
@@ -170,6 +174,7 @@ STEPS = st.one_of(  # a repeated entry is drawn twice as often
     st.tuples(st.just("sleep"), SHORT),
     GRANT,
     GRANT,
+    st.tuples(st.just("hold"), st.integers(0, 1), SHORT),
     st.tuples(st.just("post"), PRIORITIES, st.integers(1, 2)),
     st.tuples(st.just("wait"), st.integers(0, NSHARED - 1)),
     st.tuples(
@@ -234,6 +239,23 @@ def _execute_mix(mix, scheduler: str, elide: bool):
                     else:
                         yield sim.timeout(step[3])
                 res.release(units)
+            elif kind == "hold":
+                res = resources[step[1]]
+                if res.can_hold_inline(sim.now + step[2]):
+                    inline += 1
+                    log.append((sim.now, pid, i, "got"))
+                    res.hold_inline(step[2])
+                else:
+                    if res.grant_inline():
+                        inline += 1
+                    else:
+                        yield res.acquire()
+                    log.append((sim.now, pid, i, "got"))
+                    if sim.sleep_inline(step[2]):
+                        inline += 1
+                    else:
+                        yield sim.timeout(step[2])
+                    res.release()
             elif kind == "post":
                 for _ in range(step[2]):
                     evt = sim.event("post")
@@ -264,7 +286,7 @@ def _execute_mix(mix, scheduler: str, elide: bool):
             except SimulationError:
                 log.append((sim.now, "dry", arg))
     sim.run()
-    return (log, sim.now), inline
+    return (log, sim.now, [res.utilization() for res in resources]), inline
 
 
 @given(MIXES)
